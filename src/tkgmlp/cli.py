@@ -221,7 +221,7 @@ def cmd_evaluate(args) -> int:
     ds = data_mod.load_csv(args.data, label=label, time=time_col,
                            ignore=tuple(data_section.get("ignore", ())))
     x = loaded.encoder.transform(ds.features)
-    scores, _ = loaded.model.forward(x, train=False)
+    scores = loaded.model.predict(x)
     report = metrics_mod.compute_metrics(scores, ds.labels)
     print(f"n_rows={ds.n_rows}")
     print(f"ks_pct={metrics_mod.format_percent(report.ks)}")
@@ -274,11 +274,8 @@ def cmd_encode(args) -> int:
     apply_ds = fit_ds if fit_path == args.data else data_mod.load_csv(args.data, label=args.label)
     encoder = _fit_encoder(cfg, fit_ds)
     encoded = encoder.transform(apply_ds.features)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(encoder.output_names + [args.label])
-        for i in range(encoded.shape[0]):
-            writer.writerow([repr(float(v)) for v in encoded[i]] + [str(int(apply_ds.labels[i]))])
+    data_mod.write_csv(args.out, data_mod.Dataset(encoded, apply_ds.labels, encoder.output_names),
+                       label=args.label)
     log.info("wrote %s (%d rows, %d columns)", args.out, encoded.shape[0], encoded.shape[1])
     print(f"encoded_rows={encoded.shape[0]}")
     print(f"encoded_columns={encoded.shape[1]}")

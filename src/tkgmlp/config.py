@@ -1,13 +1,18 @@
 """Run configuration: one JSON document per run, validated up front.
 
-Unknown keys are rejected so typos fail before any work starts. Individual
-keys can be overridden from the command line with ``--set a.b=value``.
+Unknown keys are rejected so typos fail before any work starts, and the
+``model`` and ``train`` sections are checked for type and range by building
+a ``ModelConfig`` and a ``TrainConfig`` from them, whose own checks use the
+``require_*`` helpers here. Individual keys can be overridden from the
+command line with ``--set a.b=value``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 from .encoders import DEFAULT_N_BINS, ENCODER_KINDS
 
@@ -21,14 +26,33 @@ _DATA_KEYS = {
     "fractions", "rows", "columns", "prevalence", "signal_scale",
 }
 _ENCODER_KEYS = {"kind", "n_bins", "categorical"}
-_MODEL_KEYS = {
-    "kan_layers", "gmlp_layers", "hidden_dim", "grid_size", "spline_degree",
-    "dropout", "spline_range", "dropout_after_each_kan",
-}
-_TRAIN_KEYS = {
-    "batch_size", "lr0", "lr_decay_factor", "lr_decay_every", "max_epochs",
-    "patience", "adam_beta1", "adam_beta2", "adam_eps",
-}
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def require_int(name: str, value, low: int):
+    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_number(name: str, value, test, text: str):
+    """Raise ConfigError unless ``value`` is a finite number passing ``test``."""
+    if not (_finite_number(value) and test(value)):
+        raise ConfigError(f"{name} must be a finite number {text}, got {value!r}")
+
+
+def require_range(name: str, value):
+    """Raise ConfigError unless ``value`` is a pair of finite numbers, low < high."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_finite_number, value)) and value[0] < value[1]):
+        raise ConfigError(f"{name} must be a list [low, high] of finite numbers with low < high, got {value!r}")
+
+
 _GRID_KEYS = {"gmlp_layers", "kan_layers", "grid_size", "hidden_dim", "dropout"}
 _TOP_KEYS = {"seed", "output_dir", "data", "encoder", "model", "train", "grid"}
 
@@ -71,8 +95,20 @@ class RunConfig:
             raise ConfigError("seed must be an integer")
         _check_keys(self.data, _DATA_KEYS, "data")
         _check_keys(self.encoder, _ENCODER_KEYS, "encoder")
-        _check_keys(self.model, _MODEL_KEYS, "model")
-        _check_keys(self.train, _TRAIN_KEYS, "train")
+        # Imported here: both modules import this one for ConfigError.
+        from .model import ModelConfig
+        from .trainer import TrainConfig
+
+        _check_keys(self.model, {f.name for f in fields(ModelConfig)} - {"input_dim"}, "model")
+        _check_keys(self.train, {f.name for f in fields(TrainConfig)} - {"seed"}, "train")
+        try:
+            ModelConfig(**{"input_dim": 1, "hidden_dim": 1, **self.model})
+        except ConfigError as exc:
+            raise ConfigError(f"model.{exc}") from None
+        try:
+            TrainConfig(**self.train)
+        except ConfigError as exc:
+            raise ConfigError(f"train.{exc}") from None
         if self.grid is not None:
             _check_keys(self.grid, _GRID_KEYS, "grid")
         kind = self.data.get("kind")

@@ -41,11 +41,13 @@ class Dataset:
             raise DataError("labels must be 0/1")
         if self.time_values is not None and self.time_values.shape != (n,):
             raise DataError("time column must align with feature rows")
-        if self.missing_mask is None:
-            if not np.all(np.isfinite(self.features)):
-                raise DataError("non-finite features without a missing mask")
-        elif self.missing_mask.shape != self.features.shape:
+        if self.missing_mask is not None and self.missing_mask.shape != self.features.shape:
             raise DataError("missing mask must shape-match features")
+        finite = np.isfinite(self.features)
+        if self.missing_mask is not None:
+            finite |= self.missing_mask
+        if not finite.all():
+            raise DataError("non-finite features outside the missing mask")
 
     @property
     def n_rows(self) -> int:
@@ -64,73 +66,185 @@ class Dataset:
 def load_csv(path, label: str = "label", time: str | None = None, ignore=()) -> Dataset:
     """Read a headered CSV into a Dataset.
 
-    Empty cells become NaN with the missing mask set; unparseable cells and
-    non-binary labels raise DataError with row/column coordinates.
+    One pass over the raw bytes counts the lines and looks for an empty cell
+    (two separators in a row, carriage returns aside). A file without one goes
+    through numpy's C parser, which must then give one row per line with as
+    many cells as the header, every feature cell a finite number, every time
+    cell a number and every label ``0`` or ``1``; columns outside the
+    features, label and time are not parsed. A file with an empty cell, and
+    any file the C parser rejects (an unparseable or non-finite cell, a
+    ragged or blank row, a quoted cell spanning lines, a whitespace-only or
+    quoted empty cell), is read by the row scanner, ``_scan_csv``: empty
+    feature cells become NaN with the missing mask set, and anything else
+    raises DataError with row/column coordinates.
     """
+    n_lines, has_empty = _survey(path)
+    if has_empty or n_lines < 2:
+        return _scan_csv(path, label, time, ignore)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        header, cols = _read_header(fh, path, label, time, ignore)
+        table = _parse_bulk(fh, header, cols)
+    if table is None or table.shape != (n_lines - 1, len(header)):
+        return _scan_csv(path, label, time, ignore)
+    features = table[:, [j for j, _ in cols.features]]
+    if not np.isfinite(features).all():
+        return _scan_csv(path, label, time, ignore)
+    return Dataset(
+        features=features,
+        labels=table[:, cols.label].copy(),
+        feature_names=[name for _, name in cols.features],
+        time_values=None if cols.time is None else table[:, cols.time].copy(),
+        missing_mask=np.zeros(features.shape, dtype=bool),
+    )
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Header positions: (index, name) of each feature, label and time index."""
+
+    features: list[tuple[int, str]]
+    label: int
+    time: int | None
+
+
+def _read_header(fh, path, label, time, ignore) -> tuple[list[str], _Columns]:
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
     if label not in header:
         raise DataError(f"{path}: missing label column {label!r}")
     if time is not None and time not in header:
         raise DataError(f"{path}: missing time column {time!r}")
     skip = set(ignore) | {label} | ({time} if time else set())
-    feature_cols = [(j, name) for j, name in enumerate(header) if name not in skip]
-    label_col = header.index(label)
-    time_col = header.index(time) if time else None
+    return header, _Columns(
+        features=[(j, name) for j, name in enumerate(header) if name not in skip],
+        label=header.index(label),
+        time=header.index(time) if time else None,
+    )
 
+
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
+def _survey(path) -> tuple[int, bool]:
+    """Physical lines in the file (a last line without a newline included),
+    and whether any cell may be empty: once carriage returns are dropped and
+    newlines read as commas, two commas in a row. Blank lines and commas
+    inside quotes count too; they only send the file to the row scanner.
+    Reads 64 KiB at a time, so that its copies stay small."""
+    lines, has_empty, prev = 0, False, b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            lines += chunk.count(b"\n")
+            has_empty = has_empty or b",," in (prev + chunk).translate(_NEWLINE_TO_COMMA, b"\r")
+            prev = chunk[-1:]
+    return lines + (prev not in (b"", b"\n")), has_empty
+
+
+def _label_cell(cell: str) -> float:
+    cell = cell.strip()
+    if cell not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {cell!r}")
+    return float(cell)
+
+
+def _unused_cell(cell: str) -> float:
+    return 0.0
+
+
+def _parse_bulk(fh, header: list[str], cols: _Columns) -> np.ndarray | None:
+    """Every body cell of ``fh`` as one float table, or None when the C
+    parser rejects the file. All columns are read, not a ``usecols`` subset,
+    because only then does the parser check each row's cell count; columns
+    that are neither features, label nor time get a constant converter, so
+    a text column there still parses."""
+    used = {j for j, _ in cols.features} | {cols.label, cols.time}
+    converters = {j: _unused_cell for j in range(len(header)) if j not in used}
+    converters[cols.label] = _label_cell
+    try:
+        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                          dtype=np.float64, converters=converters)
+    except ValueError:
+        return None
+
+
+def _scan_csv(path, label: str = "label", time: str | None = None, ignore=()) -> Dataset:
+    """Read a CSV one cell at a time; the reader for every file the C parser
+    cannot take, and the one that sets the missing mask and names the first
+    bad cell in row-major order."""
+    with open(path, newline="") as fh:
+        header, cols = _read_header(fh, path, label, time, ignore)
+        rows = list(csv.reader(fh))
     n = len(rows)
-    features = np.empty((n, len(feature_cols)))
-    mask = np.zeros((n, len(feature_cols)), dtype=bool)
+    features = np.zeros((n, len(cols.features)))  # cells not reached stay finite
+    mask = np.zeros((n, len(cols.features)), dtype=bool)
     labels = np.empty(n)
-    times = np.empty(n) if time_col is not None else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for k, (j, name) in enumerate(feature_cols):
-            cell = row[j].strip()
-            if cell == "":
-                features[i, k] = np.nan
-                mask[i, k] = True
-                continue
+    times = np.empty(n) if cols.time is not None else None
+
+    def check_finite():
+        # Non-finite values are found in bulk, after the cells are parsed.
+        bad = np.flatnonzero(~(np.isfinite(features) | mask))
+        if bad.size:
+            i, k = divmod(int(bad[0]), features.shape[1])
+            j, name = cols.features[k]
+            raise DataError(f"{path}: row {i + 2}, column {name!r}: non-finite value {rows[i][j].strip()!r}") from None
+
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+            for k, (j, name) in enumerate(cols.features):
+                cell = row[j].strip()
+                if cell == "":
+                    features[i, k] = np.nan
+                    mask[i, k] = True
+                    continue
+                try:
+                    features[i, k] = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r}") from None
             try:
-                features[i, k] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r}") from None
-        cell = row[label_col].strip()
-        if cell not in ("0", "1"):
-            raise DataError(f"{path}: row {i + 2}, column {label!r}: label must be 0 or 1, got {cell!r}")
-        labels[i] = float(cell)
-        if time_col is not None:
-            try:
-                times[i] = float(row[time_col].strip())
-            except ValueError:
-                raise DataError(f"{path}: row {i + 2}, column {time!r}: cannot parse time cell") from None
+                labels[i] = _label_cell(row[cols.label])
+            except ValueError as exc:
+                raise DataError(f"{path}: row {i + 2}, column {label!r}: {exc}") from None
+            if times is not None:
+                try:
+                    times[i] = float(row[cols.time].strip())
+                except ValueError:
+                    raise DataError(f"{path}: row {i + 2}, column {time!r}: cannot parse time cell") from None
+    except DataError:
+        check_finite()  # a non-finite cell before the bad one is the first bad cell
+        raise
+    check_finite()
     return Dataset(
         features=features,
         labels=labels,
-        feature_names=[name for _, name in feature_cols],
+        feature_names=[name for _, name in cols.features],
         time_values=times,
-        missing_mask=mask if mask.any() else np.zeros_like(mask),
+        missing_mask=mask,
     )
 
 
 def write_csv(path, ds: Dataset, label: str = "label"):
-    """Write a Dataset back to CSV; missing cells become empty."""
+    """Write a Dataset as CSV, rows formatted and written one at a time.
+
+    The header is a ``csv.writer`` row. Each body row is the ``repr`` of
+    every feature value (an empty cell where the missing mask is set), then
+    the label as ``0`` or ``1``, joined by commas and ended by ``\\r\\n``:
+    the bytes ``csv.writer`` gives for these cells, which never need quoting.
+    """
+    holes = np.zeros(ds.n_rows, dtype=bool) if ds.missing_mask is None else ds.missing_mask.any(axis=1)
+    labels = ["1" if y else "0" for y in ds.labels.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.feature_names + [label])
-        for i in range(ds.n_rows):
-            row = []
-            for j, v in enumerate(ds.features[i]):
-                missing = ds.missing_mask is not None and ds.missing_mask[i, j]
-                row.append("" if missing else repr(float(v)))
-            row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(ds.feature_names + [label])
+        for i, row in enumerate(ds.features):
+            cells = list(map(repr, row.tolist()))
+            if holes[i]:
+                for j in np.flatnonzero(ds.missing_mask[i]):
+                    cells[j] = ""
+            cells.append(labels[i])
+            fh.write(",".join(cells) + "\r\n")
 
 
 def chronological_split(ds: Dataset, fractions=(0.6, 0.2, 0.2)) -> tuple[Dataset, Dataset, Dataset]:

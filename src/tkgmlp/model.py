@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import gmlp, kan, nn_core
+from .config import ConfigError, require_int, require_number, require_range
 
-
-class ConfigError(ValueError):
-    """Invalid model configuration."""
+PREDICT_BLOCK_ROWS = 65_536  # rows per inference forward in predict
 
 
 @dataclass(frozen=True)
@@ -34,16 +33,15 @@ class ModelConfig:
     dropout_after_each_kan: bool = True  # False: single dropout after the stack
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("input_dim and hidden_dim must be positive")
-        if self.kan_layers < 0 or self.gmlp_layers < 0:
-            raise ConfigError("layer counts must be >= 0")
+        for name, low in (("input_dim", 1), ("hidden_dim", 1), ("kan_layers", 0), ("gmlp_layers", 0),
+                          ("grid_size", 1), ("spline_degree", 0)):
+            require_int(name, getattr(self, name), low)
         if self.kan_layers == 0 and self.gmlp_layers == 0:
-            raise ConfigError("need at least one KAN or gMLP layer")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.grid_size < 1 or self.spline_degree < 0:
-            raise ConfigError("invalid spline grid")
+            raise ConfigError("kan_layers and gmlp_layers cannot both be 0")
+        require_number("dropout", self.dropout, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        require_range("spline_range", self.spline_range)
+        if not isinstance(self.dropout_after_each_kan, bool):
+            raise ConfigError(f"dropout_after_each_kan must be true or false, got {self.dropout_after_each_kan!r}")
         object.__setattr__(self, "spline_range", tuple(float(v) for v in self.spline_range))
 
     def to_dict(self) -> dict:
@@ -133,8 +131,11 @@ class TkgmlpModel:
         return seen
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
-        """Return (scores, cache). Inference is deterministic; train mode
-        draws dropout masks from ``rng`` and updates BN running stats."""
+        """Return (scores, cache). Train mode draws dropout masks from ``rng``,
+        updates BN running stats and caches every layer for ``backward``.
+        Inference is deterministic and keeps no layer caches, so each layer's
+        arrays are freed as the pass moves on; its cache only records that it
+        came from inference."""
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise nn_core.ShapeError(f"forward: input {x.shape} does not match input_dim {self.cfg.input_dim}")
         h, bn_cache = nn_core.batchnorm_forward(x, self.input_bn, train)
@@ -142,19 +143,24 @@ class TkgmlpModel:
         last = len(self.kan_stack) - 1
         for i, layer in enumerate(self.kan_stack):
             h, kc = kan.kan_forward(h, layer)
+            mask = None
             if self.cfg.dropout_after_each_kan or i == last:
                 h, mask = nn_core.dropout_apply(h, self.cfg.dropout, rng, train)
-            else:
-                mask = None
-            kan_caches.append((kc, mask))
+            if train:
+                kan_caches.append((kc, mask))
+            del kc  # in inference, frees the layer's basis before the next layer runs
         gmlp_caches = []
         for block in self.gmlp_stack:
             h, gc = gmlp.gmlp_block_forward(h, block, train, rng)
-            gmlp_caches.append(gc)
+            if train:
+                gmlp_caches.append(gc)
+            del gc
         logits, head_cache = nn_core.linear_forward(h, self.head)
         scores = nn_core.sigmoid(logits[:, 0])
+        if not train:
+            return scores, {"train": False}
         cache = {
-            "train": train,
+            "train": True,
             "bn": bn_cache,
             "kan": kan_caches,
             "gmlp": gmlp_caches,
@@ -162,6 +168,15 @@ class TkgmlpModel:
             "scores": scores,
         }
         return scores, cache
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Inference scores, computed ``PREDICT_BLOCK_ROWS`` rows at a time so
+        that memory stays bounded as the number of rows grows."""
+        scores = np.empty(x.shape[0])
+        for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+            hi = lo + PREDICT_BLOCK_ROWS
+            scores[lo:hi] = self.forward(x[lo:hi], train=False)[0]
+        return scores
 
     def backward(self, dscores: np.ndarray, cache) -> np.ndarray:
         """Accumulate all parameter gradients from dL/dscores; return dL/dx."""

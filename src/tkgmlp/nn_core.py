@@ -227,11 +227,14 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None, t
     """Inverted dropout. Returns (y, mask) where mask is the exact multiplier.
 
     Train mode zeroes entries with probability ``rate`` and scales survivors
-    by 1/(1-rate) so the expectation is preserved; inference is the identity.
+    by 1/(1-rate) so the expectation is preserved; inference is the identity
+    and returns mask None, allocating nothing.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if not train:
+        return x, None
+    if rate == 0.0:
         return x, np.ones_like(x)
     if rng is None:
         raise ValueError("train-mode dropout needs an explicit rng")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, nn_core
+from .config import require_int, require_number
 from .model import ModelConfig, TkgmlpModel, build_model
 
 
@@ -32,10 +33,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch-norm needs 2 rows)")
+        require_int("batch_size", self.batch_size, 2)  # batch norm needs 2 rows
+        for name in ("lr_decay_every", "max_epochs", "patience"):
+            require_int(name, getattr(self, name), 1)
+        require_number("lr0", self.lr0, lambda v: v > 0.0, "> 0")
+        require_number("lr_decay_factor", self.lr_decay_factor, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        for name in ("adam_beta1", "adam_beta2"):
+            require_number(name, getattr(self, name), lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        require_number("adam_eps", self.adam_eps, lambda v: v > 0.0, "> 0")
 
 
 class AdamState:

@@ -293,6 +293,18 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run_cli("fit") == 1  # --config is required
 
+    @pytest.mark.parametrize("override", [
+        "model.hidden_dim=0",
+        "model.grid_size=2.5",
+        "train.batch_size=1",
+        'model.dropout="x"',
+    ])
+    def test_bad_model_or_train_value_exits_one(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path)
+        assert run_cli("fit", "--config", cfg, "--set", override) == 1
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any data loads
+
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         missing = tmp_path / "ghost.csv"

@@ -63,6 +63,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "hidden_dim", True),
+        ("model", "spline_degree", -1),
+        ("model", "spline_range", [1.0, -1.0]),
+        ("model", "dropout_after_each_kan", 1),
+        ("train", "lr0", float("inf")),
+        ("train", "lr_decay_every", 0),
+        ("train", "adam_beta2", 1.0),
+    ])
+    def test_bad_model_or_train_value(self, section, key, value):
+        doc = synth_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+            RunConfig.from_dict(doc)
+
+    def test_model_without_layers(self):
+        doc = synth_doc()
+        doc["model"].update(kan_layers=0, gmlp_layers=0)
+        with pytest.raises(ConfigError, match="kan_layers and gmlp_layers"):
+            RunConfig.from_dict(doc)
+
     def test_roundtrip(self):
         cfg = RunConfig.from_dict(synth_doc())
         again = RunConfig.from_dict(cfg.to_dict())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from tkgmlp import data
 from tkgmlp.data import (
     DataError,
     Dataset,
@@ -79,6 +80,117 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+    def test_write_bytes(self, tmp_path):
+        ds = Dataset(
+            features=np.array([[0.1, np.nan], [-2.5e-300, 3.0]]),
+            labels=np.array([1.0, 0.0]),
+            feature_names=["a", 'say "hi", b'],
+            missing_mask=np.array([[False, True], [False, False]]),
+        )
+        path = tmp_path / "out.csv"
+        write_csv(path, ds)
+        assert path.read_bytes() == b'a,"say ""hi"", b",label\r\n0.1,,1\r\n-2.5e-300,3.0,0\r\n'
+        back = load_csv(path, label="label")
+        assert back.feature_names == ["a", 'say "hi", b']
+        assert np.array_equal(back.missing_mask, ds.missing_mask)
+
+    def test_ignored_text_column_takes_bulk_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "text.csv"
+        path.write_text('id,a,note,label\n1,0.5,"free, text",0\n2,-1.25,more text,1\n')
+        monkeypatch.setattr(data, "_scan_csv", None)  # a fall-back to the scanner fails
+        ds = load_csv(path, ignore=("id", "note"))
+        assert ds.feature_names == ["a"]
+        np.testing.assert_array_equal(ds.features, [[0.5], [-1.25]])
+        np.testing.assert_array_equal(ds.labels, [0.0, 1.0])
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,2.0,0\n3.0,x,1\ny,4.0,0\n", r"row 3, column 'b'"),
+        ("1.0,inf,0\nx,2.0,1\n", r"row 2, column 'b': non-finite"),
+        ("x,inf,0\n", r"row 2, column 'a': cannot parse"),
+        ("1.0,inf,0\n3.0\n", r"row 2, column 'b': non-finite"),
+        ("1.0,2.0,0\n1e999,,1\n", r"row 3, column 'a': non-finite"),
+    ])
+    def test_first_bad_cell_in_row_major_order_reported(self, tmp_path, body, message):
+        path = tmp_path / "two_bad.csv"
+        path.write_text("a,b,label\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1.0", "true", ""])
+    def test_label_must_be_exactly_zero_or_one(self, tmp_path, cell):
+        path = tmp_path / "label.csv"
+        path.write_text(f"a,label\n1.0, 1 \n2.0,{cell}\n")
+        with pytest.raises(DataError, match=r"row 3, column 'label'"):
+            load_csv(path)
+
+    def test_header_only_gives_no_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b,label\n")
+        ds = load_csv(path)
+        assert ds.features.shape == (0, 2)
+        assert ds.labels.shape == (0,)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,2.0,0\n3.0,1\n", "row 3 has 2 cells, expected 3"),
+        ("1.0,2.0,0\n3.0,4.0,1,5.0\n", "row 3 has 4 cells, expected 3"),
+        ("1.0,2.0\n3.0,4.0\n", "row 2 has 2 cells, expected 3"),
+        ("1.0,2.0,0\n\n3.0,4.0,1\n", "row 3 has 0 cells, expected 3"),
+    ])
+    def test_ragged_row_reported(self, tmp_path, body, message):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,label\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n3.0,{cell},1\n")
+        with pytest.raises(DataError, match=r"row 3, column 'b'.*non-finite"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("body", ["1.0,0,2.0\n3.0,1,\n", ",0,2.0\n", "1.0,0,\r\n3.0,1,4.0\r\n"])
+    def test_empty_cell_goes_straight_to_scanner(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "gaps.csv"
+        path.write_bytes(b"a,label,b\r\n" + body.encode())
+        monkeypatch.setattr(data, "_parse_bulk", None)  # a bulk parse attempt fails
+        ds = load_csv(path)
+        assert ds.missing_mask.sum() == 1
+
+    def test_survey_counts_lines_and_spots_gap_across_chunks(self, tmp_path):
+        head = b"a,label\r\n"
+        row = b"0.5,1\r\n"
+        filler = row * (((1 << 16) - len(head)) // len(row) - 1)
+        pad = b"9" * ((1 << 16) - len(head) - len(filler) - 1)  # the first 64 KiB read ends with the comma
+        path = tmp_path / "big.csv"
+        path.write_bytes(head + filler + pad + b",,1\r\n0.5,0")
+        n_rows = len(filler) // len(row)
+        assert data._survey(path) == (n_rows + 3, True)
+        path.write_bytes(head + filler + pad + b",1\r\n0.5,0")
+        assert data._survey(path) == (n_rows + 3, False)
+
+    def test_scanner_matches_bulk_parse(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        ds = Dataset(features=rng.normal(size=(30, 4)), labels=(rng.random(30) < 0.5).astype(float),
+                     feature_names=["t", "a", "junk", "b"])
+        path = tmp_path / "clean.csv"
+        write_csv(path, ds)
+        kwargs = dict(label="label", time="t", ignore=("junk",))
+        scanned = data._scan_csv(path, **kwargs)
+        monkeypatch.setattr(data, "_scan_csv", None)
+        parsed = load_csv(path, **kwargs)
+        assert scanned.feature_names == parsed.feature_names == ["a", "b"]
+        for name in ("features", "labels", "time_values", "missing_mask"):
+            assert np.array_equal(getattr(scanned, name), getattr(parsed, name))
+
+    def test_non_finite_only_where_mask_set(self):
+        features = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        mask = np.array([[False, True], [False, False]])
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
+        mask[1, 0] = True
+        Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
 
 
 class TestChronologicalSplit:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tkgmlp import gmlp, kan, nn_core
+from tkgmlp import model as model_mod
 from tkgmlp.model import ConfigError, ModelConfig, build_model
 
 from .helpers import finite_difference_grad, rel_err
@@ -50,6 +51,14 @@ class TestBuild:
     def test_no_layers_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(kan_layers=0, gmlp_layers=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", True), ("grid_size", 2.5), ("spline_degree", -1), ("dropout", "x"),
+        ("dropout", float("nan")), ("spline_range", (1.0, -1.0)), ("dropout_after_each_kan", 1),
+    ])
+    def test_bad_value_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            tiny_config(**{key: value})
 
     def test_table_space_values_accepted(self):
         for kan_l in (1, 2):
@@ -121,6 +130,18 @@ class TestBackward:
         m.backward(np.zeros(6), cache)
         for _, grad in m.trainable_parameters():
             assert np.all(grad == 0.0)
+
+    def test_inference_keeps_no_layer_caches(self):
+        m = build_model(tiny_config(dropout=0.3), seed=0)
+        _, cache = m.forward(np.random.default_rng(0).normal(size=(4, 6)), train=False)
+        assert cache == {"train": False}
+
+    def test_predict_in_blocks_matches_one_forward(self, monkeypatch):
+        m = build_model(tiny_config(kan_layers=2, gmlp_layers=2, dropout=0.3), seed=0)
+        x = np.random.default_rng(1).normal(size=(25, 6))
+        whole, _ = m.forward(x, train=False)
+        monkeypatch.setattr(model_mod, "PREDICT_BLOCK_ROWS", 10)  # blocks of 10, 10 and 5 rows
+        assert np.array_equal(m.predict(x), whole)
 
     def test_inference_cache_rejected(self):
         m = build_model(tiny_config(), seed=0)

@@ -176,8 +176,8 @@ class TestDropout:
 
     def test_inference_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 5))
-        y, _ = dropout_apply(x, 0.8, None, train=False)
-        assert np.array_equal(y, x)
+        y, mask = dropout_apply(x, 0.8, None, train=False)
+        assert y is x and mask is None
 
     def test_expectation_preserved(self):
         x = np.ones((1000, 1000))

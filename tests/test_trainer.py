@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tkgmlp.config import ConfigError
 from tkgmlp.metrics import UndefinedMetricError, ks
 from tkgmlp.model import ModelConfig, build_model
 from tkgmlp.trainer import (
@@ -73,6 +74,16 @@ class TestLrSchedule:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             lr_schedule(-1, TrainConfig())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 64.0), ("batch_size", 1), ("patience", 0), ("lr0", 0.0),
+        ("lr_decay_factor", 1.5), ("adam_beta2", 1.0), ("adam_eps", "1e-8"),
+    ])
+    def test_bad_value_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            TrainConfig(**{key: value})
 
 
 class TestEarlyStop:
