@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, nn_core
 
 FAMILIES = ("gaussian", "exponential", "beta", "zip")
 DEFAULT_PREVALENCE = 0.0047  # positive-class share of the reference task
@@ -412,7 +412,7 @@ def synth_generate(spec: SyntheticTaskSpec, n_rows: int) -> tuple[Dataset, np.nd
     z = spec.signal_scale * (z - z.mean()) / max(z.std(), 1e-12)
 
     intercept = _calibrate_intercept(z, spec.prevalence)
-    probs = _sigmoid(z + intercept)
+    probs = nn_core.sigmoid(z + intercept)
     labels = (np.random.default_rng(children[d + 1]).random(n_rows) < probs).astype(np.float64)
     ds = Dataset(
         features=features,
@@ -422,20 +422,11 @@ def synth_generate(spec: SyntheticTaskSpec, n_rows: int) -> tuple[Dataset, np.nd
     return ds, probs
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _calibrate_intercept(z: np.ndarray, target: float) -> float:
     lo, hi = -60.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _sigmoid(z + mid).mean() < target:
+        if nn_core.sigmoid(z + mid).mean() < target:
             lo = mid
         else:
             hi = mid

@@ -2,7 +2,8 @@
 
 SwiGLU(x) = silu(x V + b1) * (x U + b2), elementwise product of a gate
 branch and a value branch of identical width. The block changes dimension
-d -> h inside the two affine maps.
+d -> h inside the two affine maps. Dropout keeps a bool keep-mask and one
+scale, not a float multiplier per entry.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn_core
 from .nn_core import (
     BatchNormState,
     LinearParams,
@@ -18,6 +20,7 @@ from .nn_core import (
     batchnorm_backward,
     batchnorm_forward,
     dropout_apply,
+    dropout_backward,
     silu,
     silu_derivative,
 )
@@ -68,37 +71,50 @@ class GmlpBlockParams:
 
 
 def swiglu(x: np.ndarray, p: GmlpBlockParams):
-    """silu(x V + b1) * (x U + b2)."""
+    """silu(x V + b1) * (x U + b2).
+
+    The cache (x, gate_pre, value_pre, sigmoid(gate_pre)) lets the backward
+    pass rebuild silu and silu' of the gate without a second sigmoid.
+    """
     gate_pre = x @ p.gate.weight + p.gate.bias
     value_pre = x @ p.value.weight + p.value.bias
-    return silu(gate_pre) * value_pre, (x, gate_pre, value_pre)
+    sig = nn_core.sigmoid(gate_pre)
+    out = silu(gate_pre, sig)
+    out *= value_pre
+    return out, (x, gate_pre, value_pre, sig)
 
 
 def swiglu_backward(upstream: np.ndarray, cache, p: GmlpBlockParams) -> np.ndarray:
-    x, gate_pre, value_pre = cache
+    x, gate_pre, value_pre, sig = cache
     if upstream.shape != gate_pre.shape:
         raise ShapeError("swiglu_backward: upstream does not match cache")
-    dgate = upstream * value_pre * silu_derivative(gate_pre)
-    dvalue = upstream * silu(gate_pre)
+    dgate = upstream * value_pre
+    dgate *= silu_derivative(gate_pre, sig)
+    dvalue = silu(gate_pre, sig)
+    dvalue *= upstream
     if not p.gate.frozen:
         p.gate.grad_weight += x.T @ dgate
         p.gate.grad_bias += dgate.sum(axis=0)
     if not p.value.frozen:
         p.value.grad_weight += x.T @ dvalue
         p.value.grad_bias += dvalue.sum(axis=0)
-    return dgate @ p.gate.weight.T + dvalue @ p.value.weight.T
+    dx = dgate @ p.gate.weight.T
+    dx += dvalue @ p.value.weight.T
+    return dx
 
 
 def gmlp_block_forward(x: np.ndarray, p: GmlpBlockParams, train: bool, rng: np.random.Generator | None = None):
-    """dropout(swiglu(batchnorm(x)))."""
+    """dropout(swiglu(batchnorm(x))). Train mode returns the cache
+    (batch-norm cache, swiglu cache, dropout mask); inference returns None."""
     normed, bn_cache = batchnorm_forward(x, p.bn, train)
     gated, swiglu_cache = swiglu(normed, p)
     out, mask = dropout_apply(gated, p.dropout, rng, train)
+    if not train:
+        return out, None
     return out, (bn_cache, swiglu_cache, mask)
 
 
 def gmlp_block_backward(upstream: np.ndarray, cache, p: GmlpBlockParams) -> np.ndarray:
     bn_cache, swiglu_cache, mask = cache
-    dgated = upstream * mask
-    dnormed = swiglu_backward(dgated, swiglu_cache, p)
+    dnormed = swiglu_backward(dropout_backward(upstream, mask), swiglu_cache, p)
     return batchnorm_backward(dnormed, bn_cache, p.bn)

@@ -6,7 +6,8 @@ Each edge (input p, output q) carries
 
 and output q is the sum of phi over inputs. All edges of a layer share one
 knot vector, so the spline basis is expanded once per input column and the
-rest is matrix algebra.
+rest is matrix algebra. A training forward pass keeps sigmoid(x) and the
+basis derivative for the backward pass, so each is computed once per step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn_core
 from .nn_core import ShapeError, glorot_uniform, silu, silu_derivative
+# basis_derivative_matrix is not called here (the derivative comes with the
+# basis); it stays importable as kan.basis_derivative_matrix, the name
+# perfbench/tracer.py wraps
 from .spline import KnotVector, basis_derivative_matrix, basis_matrix, build_knots
 
 
@@ -89,33 +94,48 @@ def kan_init(
     )
 
 
-def kan_forward(x: np.ndarray, p: KanLayerParams):
-    """y[r,q] = sum_p w_b[q,p] silu(x[r,p]) + w_s[q,p] sum_i c[q,p,i] B_i(x[r,p])."""
+def kan_forward(x: np.ndarray, p: KanLayerParams, train: bool = True):
+    """y[r,q] = sum_p w_b[q,p] silu(x[r,p]) + w_s[q,p] sum_i c[q,p,i] B_i(x[r,p]).
+
+    Train mode returns the cache (x, sigmoid(x), basis, basis derivative,
+    w_s * c); basis and derivative come from one cell lookup, and the
+    backward pass rebuilds silu and silu' from the cached sigmoid. The basis
+    is built before sigmoid(x), so that none of this layer's other arrays is
+    alive while the basis holds its temporaries. Inference computes no
+    derivative and returns cache None.
+    """
     if x.ndim != 2 or x.shape[1] != p.in_dim:
         raise ShapeError(f"kan_forward: input {x.shape} does not match in_dim {p.in_dim}")
     rows = x.shape[0]
-    nb = p.kv.n_basis
-    silu_x = silu(x)
-    basis = basis_matrix(x.ravel(), p.kv).reshape(rows, p.in_dim, nb)
+    if train:
+        basis, dbasis = basis_matrix(x.ravel(), p.kv, with_derivative=True)
+    else:
+        basis = basis_matrix(x.ravel(), p.kv)
+    sig = nn_core.sigmoid(x)
+    y = silu(x, sig) @ p.base_weight.T
     weighted = (p.spline_weight[:, :, None] * p.coeffs).reshape(p.out_dim, -1)
-    y = silu_x @ p.base_weight.T + basis.reshape(rows, -1) @ weighted.T
-    return y, (x, silu_x, basis)
+    y += basis.reshape(rows, -1) @ weighted.T
+    if not train:
+        return y, None
+    nb = p.kv.n_basis
+    return y, (x, sig, basis.reshape(rows, p.in_dim, nb), dbasis.reshape(rows, p.in_dim, nb), weighted)
 
 
 def kan_backward(upstream: np.ndarray, cache, p: KanLayerParams) -> np.ndarray:
     """Return dL/dx; accumulate dL/dw_b, dL/dw_s, dL/dc."""
-    x, silu_x, basis = cache
+    x, sig, basis, dbasis, weighted = cache
     rows = x.shape[0]
     if upstream.shape != (rows, p.out_dim) or basis.shape != (rows, p.in_dim, p.kv.n_basis):
         raise ShapeError("kan_backward: upstream/cache shapes do not match layer")
-    basis_flat = basis.reshape(rows, -1)
     if not p.frozen:
-        p.grad_base_weight += upstream.T @ silu_x
+        p.grad_base_weight += upstream.T @ silu(x, sig)
         # per-edge basis response aggregated over the batch
-        agg = (upstream.T @ basis_flat).reshape(p.out_dim, p.in_dim, -1)
+        agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
         p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
         p.grad_coeffs += agg * p.spline_weight[:, :, None]
-    dbasis = basis_derivative_matrix(x.ravel(), p.kv).reshape(basis.shape)
-    weighted = (p.spline_weight[:, :, None] * p.coeffs).reshape(p.out_dim, -1)
-    spline_dx = ((upstream @ weighted).reshape(basis.shape) * dbasis).sum(axis=2)
-    return silu_derivative(x) * (upstream @ p.base_weight) + spline_dx
+    spline_dx = (upstream @ weighted).reshape(basis.shape)
+    spline_dx *= dbasis
+    dx = silu_derivative(x, sig)
+    dx *= upstream @ p.base_weight
+    dx += spline_dx.sum(axis=2)
+    return dx

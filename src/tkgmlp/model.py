@@ -142,19 +142,15 @@ class TkgmlpModel:
         kan_caches = []
         last = len(self.kan_stack) - 1
         for i, layer in enumerate(self.kan_stack):
-            h, kc = kan.kan_forward(h, layer)
+            h, kc = kan.kan_forward(h, layer, train)
             mask = None
             if self.cfg.dropout_after_each_kan or i == last:
                 h, mask = nn_core.dropout_apply(h, self.cfg.dropout, rng, train)
-            if train:
-                kan_caches.append((kc, mask))
-            del kc  # in inference, frees the layer's basis before the next layer runs
+            kan_caches.append((kc, mask))
         gmlp_caches = []
         for block in self.gmlp_stack:
             h, gc = gmlp.gmlp_block_forward(h, block, train, rng)
-            if train:
-                gmlp_caches.append(gc)
-            del gc
+            gmlp_caches.append(gc)
         logits, head_cache = nn_core.linear_forward(h, self.head)
         scores = nn_core.sigmoid(logits[:, 0])
         if not train:
@@ -188,9 +184,7 @@ class TkgmlpModel:
         for block, gc in zip(reversed(self.gmlp_stack), reversed(cache["gmlp"])):
             dh = gmlp.gmlp_block_backward(dh, gc, block)
         for layer, (kc, mask) in zip(reversed(self.kan_stack), reversed(cache["kan"])):
-            if mask is not None:
-                dh = dh * mask
-            dh = kan.kan_backward(dh, kc, layer)
+            dh = kan.kan_backward(nn_core.dropout_backward(dh, mask), kc, layer)
         return nn_core.batchnorm_backward(dh, cache["bn"], self.input_bn)
 
 

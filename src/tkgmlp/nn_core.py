@@ -34,39 +34,46 @@ def as_batch(data, name: str = "batch") -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check, 64-bit accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
-    """Numerically stable logistic function, scalar or array."""
+    """Numerically stable logistic function, scalar or array.
+
+    1/(1+z) for x >= 0 and z/(1+z) below, with z = exp(-|x|), which never
+    overflows. The pass runs in place, and each entry computes only its own
+    half-line formula.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    # exp(-|x|) never overflows; the two half-line formulas share it
-    z = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.empty_like(arr)
+    np.abs(arr, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)  # z
+    den = out + 1.0
+    # numerator: 1 where x >= 0, else z; as z <= 1, a max picks it without a branch
+    np.maximum(out, arr >= 0.0, out=out)
+    np.divide(out, den, out=out)
     return float(out) if arr.ndim == 0 else out
 
 
-def silu(x):
-    """x * sigmoid(x), the sigmoid linear unit."""
+def silu(x, sig=None):
+    """x * sigmoid(x), the sigmoid linear unit; ``sig`` is sigmoid(x) if the
+    caller already has it."""
+    if sig is None:
+        sig = sigmoid(x)
     if np.ndim(x) == 0:
-        return float(x) * sigmoid(x)
-    return np.asarray(x, dtype=np.float64) * sigmoid(x)
+        return float(x) * sig
+    return np.asarray(x, dtype=np.float64) * sig
 
 
-def silu_derivative(x):
-    """Analytic d/dx of silu: sigma(x) * (1 + x * (1 - sigma(x)))."""
-    s = sigmoid(x)
+def silu_derivative(x, sig=None):
+    """Analytic d/dx of silu: sigma(x) * (1 + x * (1 - sigma(x))); ``sig`` is
+    sigmoid(x) if the caller already has it."""
+    s = sigmoid(x) if sig is None else sig
     if np.ndim(x) == 0:
         return s * (1.0 + float(x) * (1.0 - s))
-    return s * (1.0 + np.asarray(x, dtype=np.float64) * (1.0 - s))
+    out = 1.0 - s
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -224,22 +231,34 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
 
 
 def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None, train: bool):
-    """Inverted dropout. Returns (y, mask) where mask is the exact multiplier.
+    """Inverted dropout. Returns (y, mask) with mask None or (keep, scale).
 
-    Train mode zeroes entries with probability ``rate`` and scales survivors
-    by 1/(1-rate) so the expectation is preserved; inference is the identity
-    and returns mask None, allocating nothing.
+    Train mode draws a bool keep-mask that drops entries with probability
+    ``rate`` and scales survivors by scale = 1/(1-rate), so the expectation
+    is preserved. Rate 0 and inference are the identity: they return ``x``
+    itself and mask None, allocating nothing.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not train:
+    if not train or rate == 0.0:
         return x, None
-    if rate == 0.0:
-        return x, np.ones_like(x)
     if rng is None:
         raise ValueError("train-mode dropout needs an explicit rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    y = x * keep
+    y *= scale
+    return y, (keep, scale)
+
+
+def dropout_backward(upstream: np.ndarray, mask) -> np.ndarray:
+    """dL/dx of ``dropout_apply`` given its mask: upstream * keep * scale."""
+    if mask is None:
+        return upstream
+    keep, scale = mask
+    out = upstream * keep
+    out *= scale
+    return out
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):

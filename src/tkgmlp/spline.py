@@ -10,6 +10,9 @@ with the 0/0 convention that a term with zero denominator contributes 0.
 Degree-0 indicators are half-open except that the interval ending at the
 right edge of the interior domain is closed there, so the partition of
 unity holds on the full closed domain.
+
+Uniform grids skip the recursion: ``_CellPolys`` evaluates the basis, and
+in training its derivative too, from one cell lookup per point.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ class _CellPolys:
 
         S[k][r](x) = ((r + x)/k) S[k-1][r](x) + ((k + 1 - r - x)/k) S[k-1][r-1](x)
 
-    Evaluation then is one cell lookup plus p+1 Horner steps per point,
-    instead of a full recursion over the whole knot vector.
+    Evaluation then is one cell lookup plus p+1 Horner steps per point and
+    offset, instead of a full recursion over the whole knot vector; basis
+    and derivative share the lookup.
     """
 
     def __init__(self, degree: int, h: float):
@@ -113,39 +117,48 @@ class _CellPolys:
         self.segments = np.vstack(segs)  # (p+1, p+1), ascending coefficients
         self.dsegments = self.segments[:, 1:] * np.arange(1, degree + 1) / h
 
-    def _eval(self, u: np.ndarray, kv: KnotVector, coeffs: np.ndarray, clip: bool) -> np.ndarray:
-        t = kv.knots
-        p = self.degree
-        s = (u - t[0]) / self.h
+    def evaluate(self, u: np.ndarray, kv: KnotVector, derivative: bool) -> list[np.ndarray]:
+        """[basis] or [basis, derivative] matrices at ``u``, from one cell lookup.
+
+        Point n in cell c has non-zero values only at basis c - r for
+        r = 0..p (B-spline locality), so each offset r is one Horner pass
+        over every point, added into zeroed outputs at flat indices. An
+        offset whose basis index falls outside 0..n_basis-1 (a point near or
+        beyond the ends of the knot span) is clipped to the first index of
+        its own row and carries 0, so no value is gathered through a mask.
+        """
+        p, nb = self.degree, kv.n_basis
+        s = (u - kv.knots[0]) / self.h
         cell = np.floor(s).astype(np.int64)
         at_b = u == kv.domain[1]
         if at_b.any():
             # the right domain edge belongs to the cell that ends there
-            cell = np.where(at_b, p + kv.grid_size - 1, cell)
+            cell[at_b] = p + kv.grid_size - 1
         frac = s - cell
-        in_knots = (cell >= 0) & (cell <= t.size - 2)
-        out = np.zeros((u.size, kv.n_basis))
+        del s
+        # only points in the first p or beyond the last cells lose offsets
+        edge = np.flatnonzero((cell < p) | (cell >= nb))
+        edge_cell = cell[edge]
+        base = np.arange(0, u.size * nb, nb)
+        base += cell  # flat index of offset 0, basis c
+        del cell
+        tables = [(self.segments, True)] + ([(self.dsegments, False)] if derivative else [])
+        outs = [np.zeros((u.size, nb)) for _ in tables]
         for r in range(p + 1):
-            i = cell - r
-            mask = in_knots & (i >= 0) & (i < kv.n_basis)
-            if not mask.any():
-                continue
-            x = frac[mask]
-            c = coeffs[r]
-            v = np.full(x.shape, c[-1])
-            for a in c[-2::-1]:
-                v *= x
-                v += a
-            if clip:
-                np.maximum(v, 0.0, out=v)
-            out[np.flatnonzero(mask), i[mask]] = v
-        return out
-
-    def basis(self, u: np.ndarray, kv: KnotVector) -> np.ndarray:
-        return self._eval(u, kv, self.segments, clip=True)
-
-    def derivative(self, u: np.ndarray, kv: KnotVector) -> np.ndarray:
-        return self._eval(u, kv, self.dsegments, clip=False)
+            idx = base - r
+            invalid = edge[(edge_cell < r) | (edge_cell >= nb + r)]
+            idx[invalid] = invalid * nb  # clipped into the point's own row; adds 0
+            for out, (coeffs, clip) in zip(outs, tables):
+                c = coeffs[r]
+                v = np.full(frac.shape, c[-1])
+                for a in c[-2::-1]:
+                    v *= frac
+                    v += a
+                if clip:
+                    np.maximum(v, 0.0, out=v)
+                v[invalid] = 0.0
+                np.add.at(out.reshape(-1), idx, v)
+        return outs
 
 
 def _degree0(u: np.ndarray, kv: KnotVector) -> np.ndarray:
@@ -181,12 +194,18 @@ def _recursion_basis_matrix(u: np.ndarray, kv: KnotVector) -> np.ndarray:
     return basis
 
 
-def basis_matrix(u, kv: KnotVector) -> np.ndarray:
-    """All N_{i,p} at each point: shape (len(u), grid_size + degree)."""
+def basis_matrix(u, kv: KnotVector, with_derivative: bool = False):
+    """All N_{i,p} at each point: shape (len(u), grid_size + degree).
+
+    ``with_derivative=True`` returns (basis, derivative), both taken from one
+    cell lookup on uniform grids, as training needs both.
+    """
     u = np.asarray(u, dtype=np.float64).ravel()
     if kv._polys is not None:
-        return kv._polys.basis(u, kv)
-    return _recursion_basis_matrix(u, kv)
+        outs = kv._polys.evaluate(u, kv, with_derivative)
+        return tuple(outs) if with_derivative else outs[0]
+    basis = _recursion_basis_matrix(u, kv)
+    return (basis, basis_derivative_matrix(u, kv)) if with_derivative else basis
 
 
 def basis_derivative_matrix(u, kv: KnotVector) -> np.ndarray:
@@ -196,7 +215,7 @@ def basis_derivative_matrix(u, kv: KnotVector) -> np.ndarray:
     if p == 0:
         return np.zeros((u.size, kv.n_basis))
     if kv._polys is not None:
-        return kv._polys.derivative(u, kv)
+        return kv._polys.evaluate(u, kv, derivative=True)[1]
     lower = _degree0(u, kv)
     for k in range(1, p):
         lower = _elevate(lower, u, t, k)

@@ -178,7 +178,7 @@ def train(
             return TrainResult(history, max(best_epoch, 0), best_ks, best_auc,
                                stopped_early=False, diverged=True)
 
-        valid_scores, _ = model.forward(x_valid, train=False)
+        valid_scores = model.predict(x_valid)
         valid_ks = metrics.ks(valid_scores, y_valid)
         valid_auc = metrics.auc(valid_scores, y_valid)
         stats = EpochStats(

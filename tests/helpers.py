@@ -67,3 +67,10 @@ def brute_force_auc(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def two_branch_sigmoid(x):
+    """sigmoid by both half-line formulas over exp(-|x|), picked per entry."""
+    arr = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(arr))
+    return np.where(arr >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))

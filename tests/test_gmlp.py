@@ -128,9 +128,9 @@ class TestBlock:
         p = make_block(dropout=0.5)
         x = np.random.default_rng(0).normal(size=(6, 3))
         _, cache = gmlp_block_forward(x, p, train=True, rng=np.random.default_rng(2))
-        mask = cache[2]
+        keep, _ = cache[2]
         up = np.ones((6, 4))
-        dropped = mask == 0.0
+        dropped = ~keep
         assert dropped.any()
         # gradient of the dropped outputs w.r.t. anything upstream is zero:
         # feeding upstream supported only on dropped positions changes nothing

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tkgmlp import kan as kan_module
 from tkgmlp import nn_core
 from tkgmlp.kan import KanLayerParams, kan_backward, kan_forward, kan_init
 from tkgmlp.nn_core import ShapeError, silu
@@ -56,6 +57,26 @@ class TestForward:
         x = np.full((3, 4), 10.0)  # beyond the extended knots
         y, _ = kan_forward(x, p)
         assert np.all(y == 0.0)
+
+    def test_inference_matches_train_and_keeps_nothing(self, monkeypatch):
+        p = make_layer()
+        x = np.random.default_rng(6).uniform(-2.5, 2.5, (7, 4))
+        y_train, cache = kan_forward(x, p, train=True)
+        x_cached, sig, basis, dbasis, _ = cache
+        assert x_cached is x and np.array_equal(sig, nn_core.sigmoid(x))
+        assert basis.shape == dbasis.shape == (7, 4, p.kv.n_basis)
+
+        asked = []
+        basis_matrix = kan_module.basis_matrix
+
+        def spy(u, kv, with_derivative=False):
+            asked.append(with_derivative)
+            return basis_matrix(u, kv, with_derivative)
+
+        monkeypatch.setattr(kan_module, "basis_matrix", spy)
+        y_infer, none = kan_forward(x, p, train=False)
+        assert none is None and asked == [False]
+        assert np.array_equal(y_infer, y_train)
 
     def test_linearity_in_coeffs(self):
         p = make_layer()

@@ -167,7 +167,7 @@ class TestBackward:
 
     def test_composition_matches_manual_layers(self):
         # model backward equals composing the module-level backwards by hand
-        m = build_model(tiny_config(kan_layers=1, gmlp_layers=1), seed=7)
+        m = build_model(tiny_config(kan_layers=1, gmlp_layers=1, dropout=0.3), seed=7)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(9, 6))
         y = (rng.random(9) < 0.5).astype(float)
@@ -180,7 +180,7 @@ class TestBackward:
                 ("head_w", m.head.grad_weight), ("bn_g", m.input_bn.grad_gamma)]}
 
         # manual recomposition on a fresh copy of the same model
-        m2 = build_model(tiny_config(kan_layers=1, gmlp_layers=1), seed=7)
+        m2 = build_model(tiny_config(kan_layers=1, gmlp_layers=1, dropout=0.3), seed=7)
         rng2 = np.random.default_rng(5)
         h0, bn_cache = nn_core.batchnorm_forward(x, m2.input_bn, True)
         h1, kan_cache = kan.kan_forward(h0, m2.kan_stack[0])
@@ -192,7 +192,7 @@ class TestBackward:
         m2.zero_grads()
         dlogits = (dprobs * probs * (1 - probs))[:, None]
         dh2 = nn_core.linear_backward(dlogits, head_cache, m2.head)
-        dh1 = gmlp.gmlp_block_backward(dh2, g_cache, m2.gmlp_stack[0]) * mask
+        dh1 = nn_core.dropout_backward(gmlp.gmlp_block_backward(dh2, g_cache, m2.gmlp_stack[0]), mask)
         dh0 = kan.kan_backward(dh1, kan_cache, m2.kan_stack[0])
         dx_manual = nn_core.batchnorm_backward(dh0, bn_cache, m2.input_bn)
 

@@ -12,16 +12,16 @@ from tkgmlp.nn_core import (
     batchnorm_forward,
     bce_loss,
     dropout_apply,
+    dropout_backward,
     glorot_uniform,
     linear_backward,
     linear_forward,
-    matmul,
     sigmoid,
     silu,
     silu_derivative,
 )
 
-from .helpers import finite_difference_grad, rel_err
+from .helpers import finite_difference_grad, rel_err, two_branch_sigmoid
 
 
 class TestBatchValidation:
@@ -41,24 +41,6 @@ class TestBatchValidation:
         x = as_batch([[1, 2], [3, 4]])
         assert x.dtype == np.float64
         assert x.shape == (2, 2)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.random.default_rng(0).normal(size=(3, 4))
-        assert np.array_equal(matmul(a, np.eye(4)), a)
-
-    def test_annihilator(self):
-        a = np.random.default_rng(0).normal(size=(3, 4))
-        assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
-        assert np.array_equal(out, np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestSilu:
@@ -97,6 +79,45 @@ class TestSilu:
     def test_sigmoid_symmetry(self):
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
+
+    def test_given_sigmoid_is_used_bit_for_bit(self):
+        x = np.random.default_rng(4).normal(0.0, 6.0, size=(7, 5))
+        sig = sigmoid(x)
+        assert np.array_equal(silu(x, sig), silu(x))
+        assert np.array_equal(silu_derivative(x, sig), silu_derivative(x))
+        assert silu(1.5, sigmoid(1.5)) == silu(1.5)
+        assert silu_derivative(-2.5, sigmoid(-2.5)) == silu_derivative(-2.5)
+
+
+# each edge value on both sides of zero, the smallest subnormal included
+SIGMOID_EDGES = [s * v for v in (0.0, 5e-324, 1e-310, 36.7, 709.0, 745.0, np.inf) for s in (1.0, -1.0)]
+
+
+class TestSigmoidOracle:
+    """The one-pass sigmoid equals the two-branch formula bit for bit."""
+
+    @pytest.mark.parametrize("x", SIGMOID_EDGES)
+    def test_scalar_edges(self, x):
+        got = sigmoid(x)
+        want = float(two_branch_sigmoid(x))
+        assert type(got) is float
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_array_edges_and_random(self):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([SIGMOID_EDGES, rng.normal(0.0, 20.0, 5000), rng.uniform(-800.0, 800.0, 5000)])
+        want = two_branch_sigmoid(x)
+        got = sigmoid(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_shape_kept(self):
+        x = np.random.default_rng(7).normal(size=(3, 4, 2))
+        assert sigmoid(x).shape == x.shape
+        assert np.array_equal(sigmoid(x), two_branch_sigmoid(x))
+
+    def test_nan_propagates(self):
+        assert np.isnan(sigmoid(np.nan))
 
 
 class TestBatchNorm:
@@ -171,8 +192,9 @@ class TestDropout:
     def test_rate_zero_is_noop(self):
         x = np.random.default_rng(0).normal(size=(4, 5))
         y, mask = dropout_apply(x, 0.0, np.random.default_rng(1), train=True)
-        assert np.array_equal(y, x)
-        assert np.array_equal(mask, np.ones_like(x))
+        assert y is x and mask is None
+        up = np.random.default_rng(2).normal(size=(4, 5))
+        assert dropout_backward(up, mask) is up
 
     def test_inference_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 5))
@@ -190,9 +212,24 @@ class TestDropout:
 
     def test_deterministic_given_seed(self):
         x = np.ones((8, 8))
-        y1, m1 = dropout_apply(x, 0.3, np.random.default_rng(5), train=True)
-        y2, m2 = dropout_apply(x, 0.3, np.random.default_rng(5), train=True)
-        assert np.array_equal(y1, y2) and np.array_equal(m1, m2)
+        y1, (keep1, scale1) = dropout_apply(x, 0.3, np.random.default_rng(5), train=True)
+        y2, (keep2, scale2) = dropout_apply(x, 0.3, np.random.default_rng(5), train=True)
+        assert keep1.dtype == bool and np.array_equal(keep1, keep2)
+        assert np.array_equal(y1, y2) and scale1 == scale2 == 1.0 / (1.0 - 0.3)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.7])
+    def test_keep_mask_matches_float_multiplier(self, rate):
+        # the float multiplier keep / (1 - rate), entry by entry, bit for bit
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(64, 16))
+        up = rng.normal(size=(64, 16))
+        float_mask = (np.random.default_rng(3).random(x.shape) >= rate) / (1.0 - rate)
+        y, mask = dropout_apply(x, rate, np.random.default_rng(3), train=True)
+        assert np.array_equal(y, x * float_mask)
+        assert np.array_equal(np.signbit(y), np.signbit(x * float_mask))
+        dx = dropout_backward(up, mask)
+        assert np.array_equal(dx, up * float_mask)
+        assert np.array_equal(np.signbit(dx), np.signbit(up * float_mask))
 
 
 class TestLinear:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tkgmlp.spline import (
     KnotVector,
+    _recursion_basis_matrix,
     basis_derivative_matrix,
     basis_matrix,
     bspline_basis,
@@ -109,6 +110,63 @@ class TestDerivative:
     def test_degree_zero_derivative_is_zero(self):
         kv = KnotVector.from_knots([0.0, 1.0], degree=0)
         assert np.all(basis_derivative_matrix([0.3, 0.9], kv) == 0.0)
+
+
+def _oracle_points(kv):
+    """Every knot and its float neighbours, both domain ends, points beyond
+    the knot span, and random points over and past it."""
+    t = kv.knots
+    rng = np.random.default_rng(kv.knots.size + 10 * kv.degree)
+    return np.concatenate([
+        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), list(kv.domain),
+        [t[0] - 1.0, t[-1] + 1.0, -1e6, 1e6], rng.uniform(t[0] - 0.5, t[-1] + 0.5, 300),
+    ])
+
+
+def _recursion_only(kv):
+    """The same knot vector, evaluated by the Cox-de Boor recursion."""
+    rkv = KnotVector(kv.knots, kv.degree, kv.domain)
+    object.__setattr__(rkv, "_polys", None)
+    return rkv
+
+
+@pytest.mark.parametrize("grid_size", [1, 5, 10])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+class TestFusedBasisOracle:
+    """basis_matrix(..., with_derivative=True) from one cell lookup."""
+
+    def test_equals_separate_calls_bit_for_bit(self, grid_size, degree):
+        kv = build_knots(grid_size, degree, (-1.0, 1.0))
+        u = _oracle_points(kv)
+        basis, deriv = basis_matrix(u, kv, with_derivative=True)
+        assert np.array_equal(basis, basis_matrix(u, kv))
+        assert np.array_equal(deriv, basis_derivative_matrix(u, kv))
+        assert basis.shape == deriv.shape == (u.size, grid_size + degree)
+
+    def test_matches_recursion(self, grid_size, degree):
+        kv = build_knots(grid_size, degree, (-1.0, 1.0))
+        u = _oracle_points(kv)
+        basis, deriv = basis_matrix(u, kv, with_derivative=True)
+        rkv = _recursion_only(kv)
+        r_deriv = basis_derivative_matrix(u, rkv)
+        np.testing.assert_allclose(basis, _recursion_basis_matrix(u, kv), rtol=0.0, atol=1e-13)
+        at_b = np.flatnonzero(u == kv.domain[1])
+        assert np.allclose(basis[at_b].sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
+        beyond = (u < kv.knots[0]) | (u > kv.knots[-1])
+        assert np.all(basis[beyond] == 0.0) and np.all(deriv[beyond] == 0.0)
+        if degree != 1:
+            np.testing.assert_allclose(deriv, r_deriv, rtol=0.0, atol=1e-12)
+            return
+        # hat-function derivatives jump at knots: the cell lookup may round a
+        # point within an ulp of a knot into either neighbouring cell, so
+        # there it gives one of the two one-sided derivatives of the recursion
+        nearest = kv.knots[np.abs(u[:, None] - kv.knots).argmin(axis=1)]
+        near = np.abs(u - nearest) < 1e-12
+        np.testing.assert_allclose(deriv[~near], r_deriv[~near], rtol=0.0, atol=1e-12)
+        right = basis_derivative_matrix(np.nextafter(nearest[near], np.inf), rkv)
+        left = basis_derivative_matrix(np.nextafter(nearest[near], -np.inf), rkv)
+        gap = np.minimum(np.abs(deriv[near] - right).max(axis=1), np.abs(deriv[near] - left).max(axis=1))
+        assert gap.max() < 1e-9
 
 
 class TestZeroDenominators:

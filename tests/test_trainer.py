@@ -3,7 +3,8 @@ import pytest
 
 from tkgmlp.config import ConfigError
 from tkgmlp.metrics import UndefinedMetricError, ks
-from tkgmlp.model import ModelConfig, build_model
+from tkgmlp import model as model_module
+from tkgmlp.model import ModelConfig, TkgmlpModel, build_model
 from tkgmlp.trainer import (
     AdamState,
     GridSpace,
@@ -159,6 +160,31 @@ class TestTrain:
         r2 = train(self.model_for(), *splits, self.quick_cfg(max_epochs=5))
         assert [h.valid_ks for h in r1.history] == [h.valid_ks for h in r2.history]
         assert [h.train_loss for h in r1.history] == [h.train_loss for h in r2.history]
+
+    def test_validation_scores_in_blocks(self, monkeypatch):
+        # per-epoch validation goes through predict: few-row blocks give the
+        # same history as one block, and no inference forward sees more rows
+        x, y = separable_dataset()
+        splits = ((x[:800], y[:800]), (x[800:], y[800:]))
+        whole = train(self.model_for(), *splits, self.quick_cfg(max_epochs=4))
+        infer_rows = []
+        forward = TkgmlpModel.forward
+
+        def spy(self, xb, train=False, rng=None):
+            if not train:
+                infer_rows.append(xb.shape[0])
+            return forward(self, xb, train, rng)
+
+        monkeypatch.setattr(TkgmlpModel, "forward", spy)
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 7)
+        blocked = train(self.model_for(), *splits, self.quick_cfg(max_epochs=4))
+
+        def rows(result):
+            return [(h.epoch, h.lr, h.train_loss, h.valid_ks, h.valid_auc) for h in result.history]
+
+        assert rows(blocked) == rows(whole)
+        assert (blocked.best_epoch, blocked.best_ks, blocked.best_auc) == (whole.best_epoch, whole.best_ks, whole.best_auc)
+        assert max(infer_rows) == 7 and sum(infer_rows) == 4 * 200
 
     def test_max_epochs_honored(self):
         x, y = separable_dataset(200)
