@@ -268,17 +268,26 @@ def cmd_grid(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    """Fit the configured encoder on ``--train`` (default ``--data``) and
+    write ``--data`` encoded to ``--out``. Rows are encoded and written one
+    ``data.rows_per_block`` block at a time, so the encoded table never
+    exists whole; ``EncoderSpec.transform`` works row by row, so the blocks
+    give the rows one whole transform would. ``--out`` appears only once
+    every block is written."""
     cfg = _run_config(args)
     fit_path = args.train or args.data
     fit_ds = data_mod.load_csv(fit_path, label=args.label)
     apply_ds = fit_ds if fit_path == args.data else data_mod.load_csv(args.data, label=args.label)
     encoder = _fit_encoder(cfg, fit_ds)
-    encoded = encoder.transform(apply_ds.features)
-    data_mod.write_csv(args.out, data_mod.Dataset(encoded, apply_ds.labels, encoder.output_names),
-                       label=args.label)
-    log.info("wrote %s (%d rows, %d columns)", args.out, encoded.shape[0], encoded.shape[1])
-    print(f"encoded_rows={encoded.shape[0]}")
-    print(f"encoded_columns={encoded.shape[1]}")
+    names = encoder.output_names
+    step = data_mod.rows_per_block(len(names))
+    with data_mod.csv_block_writer(args.out, names, label=args.label) as write:
+        # One block even with no rows, so that transform checks the columns.
+        for lo in range(0, max(apply_ds.n_rows, 1), step):
+            write(encoder.transform(apply_ds.features[lo:lo + step]), apply_ds.labels[lo:lo + step])
+    log.info("wrote %s (%d rows, %d columns)", args.out, apply_ds.n_rows, len(names))
+    print(f"encoded_rows={apply_ds.n_rows}")
+    print(f"encoded_columns={len(names)}")
     return 0
 
 

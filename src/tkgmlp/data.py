@@ -10,8 +10,11 @@ a trained model against the Bayes-optimal score.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -226,25 +229,100 @@ def _scan_csv(path, label: str = "label", time: str | None = None, ignore=()) ->
     )
 
 
-def write_csv(path, ds: Dataset, label: str = "label"):
-    """Write a Dataset as CSV, rows formatted and written one at a time.
+WRITE_BLOCK_CELLS = 1 << 18  # cells formatted per CSV block, label cells included
+# Cells of a block's text as uint32 codes of four ASCII bytes (see
+# _format_rows): "0.0," and "1.0," whole, and three NULs, for text spliced in
+# later, before a feature cell's comma or a label's line feed.
+_ZERO_CELL, _ONE_CELL, _SPLICED_CELL, _SPLICED_LABEL = np.frombuffer(b"0.0,1.0,\0\0\0,\0\0\0\n", dtype=np.uint32)
+_repr = np.frompyfunc(repr, 1, 1)
 
-    The header is a ``csv.writer`` row. Each body row is the ``repr`` of
-    every feature value (an empty cell where the missing mask is set), then
-    the label as ``0`` or ``1``, joined by commas and ended by ``\\r\\n``:
-    the bytes ``csv.writer`` gives for these cells, which never need quoting.
+
+def rows_per_block(n_features: int) -> int:
+    """Rows in one CSV block of ``n_features`` feature cells plus a label:
+    at most ``WRITE_BLOCK_CELLS`` cells, and at least one row."""
+    return max(1, WRITE_BLOCK_CELLS // (n_features + 1))
+
+
+@contextlib.contextmanager
+def csv_block_writer(path, feature_names, label: str = "label"):
+    """Open a CSV for writing in row blocks; yields
+    ``write(features, labels, missing_mask=None)``, which appends rows.
+
+    The header is a ``csv.writer`` row, and each ``write`` formats its rows
+    ``rows_per_block`` at a time (see ``_format_rows``). Everything goes to a
+    temporary file beside ``path``, which replaces ``path`` once the ``with``
+    block ends without an error. On an error the temporary file is removed
+    and ``path`` is left as it was.
     """
-    holes = np.zeros(ds.n_rows, dtype=bool) if ds.missing_mask is None else ds.missing_mask.any(axis=1)
-    labels = ["1" if y else "0" for y in ds.labels.tolist()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(ds.feature_names + [label])
-        for i, row in enumerate(ds.features):
-            cells = list(map(repr, row.tolist()))
-            if holes[i]:
-                for j in np.flatnonzero(ds.missing_mask[i]):
-                    cells[j] = ""
-            cells.append(labels[i])
-            fh.write(",".join(cells) + "\r\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            csv.writer(fh).writerow(list(feature_names) + [label])
+
+            def write(features, labels, missing_mask=None):
+                step = rows_per_block(features.shape[1])
+                for lo in range(0, features.shape[0], step):
+                    holes = None if missing_mask is None else missing_mask[lo:lo + step]
+                    fh.write(_format_rows(features[lo:lo + step], labels[lo:lo + step], holes))
+
+            yield write
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) -> str:
+    """CSV text of one block: per row the ``repr`` of every feature value
+    (an empty cell where ``holes`` is set), then the label as ``0`` or ``1``,
+    joined by commas and ended by ``\\r\\n``: the bytes ``csv.writer`` gives
+    for these cells, which never need quoting.
+
+    When at least half the cells are exact ``+0.0`` or ``1.0``, as in a PLE
+    table, or some cell is empty, the block is laid out as one uint32 code
+    per cell: ``0.0,`` and ``1.0,`` (what ``repr`` and the separator give for
+    those two values) stand whole, and every other cell is three NULs before
+    its separator or line end, with its text spliced in: the ``repr`` of the
+    value (``-0.0`` among them), nothing for an empty cell, or the label and
+    ``\\r``. Otherwise, as in a table of raw floats, every cell goes through
+    ``repr`` row by row, which is faster there.
+    """
+    if holes is not None and not holes.any():
+        holes = None
+    zero = (x == 0.0) & ~np.signbit(x)
+    one = x == 1.0
+    if holes is None and 2 * np.count_nonzero(zero | one) < x.size:
+        tails = [",1\r\n" if y else ",0\r\n" for y in labels.tolist()]
+        return "".join([",".join(map(repr, row)) + tail for row, tail in zip(x.tolist(), tails)])
+    n, d = x.shape
+    codes = np.full((n, d + 1), _SPLICED_CELL, dtype=np.uint32)
+    codes[:, d] = _SPLICED_LABEL
+    codes[:, :d][zero] = _ZERO_CELL
+    codes[:, :d][one] = _ONE_CELL
+    if holes is not None:
+        codes[:, :d][holes] = _SPLICED_CELL
+    spliced = (codes == _SPLICED_CELL) | (codes == _SPLICED_LABEL)
+    texts = np.empty((n, d + 1), dtype=object)
+    other = spliced[:, :d] if holes is None else spliced[:, :d] & ~holes
+    texts[:, :d][other] = _repr(x[other])
+    if holes is not None:
+        texts[:, :d][holes] = ""
+    texts[:, d] = ["1\r" if y else "0\r" for y in labels.tolist()]
+    pieces = [""] * (2 * np.count_nonzero(spliced) + 1)
+    pieces[0::2] = codes.tobytes().decode("ascii").split("\0\0\0")
+    pieces[1::2] = texts[spliced].tolist()
+    return "".join(pieces)
+
+
+def write_csv(path, ds: Dataset, label: str = "label"):
+    """Write a Dataset as CSV through ``csv_block_writer``: a ``csv.writer``
+    header, then per row the ``repr`` of every feature value (an empty cell
+    where the missing mask is set) and the label as ``0`` or ``1``, ended by
+    ``\\r\\n``. The file appears whole or not at all."""
+    with csv_block_writer(path, ds.feature_names, label) as write:
+        write(ds.features, ds.labels, ds.missing_mask)
 
 
 def chronological_split(ds: Dataset, fractions=(0.6, 0.2, 0.2)) -> tuple[Dataset, Dataset, Dataset]:

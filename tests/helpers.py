@@ -3,6 +3,8 @@
 These stay deliberately independent of the library code paths they check.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -74,3 +76,21 @@ def two_branch_sigmoid(x):
     arr = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(arr))
     return np.where(arr >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def per_row_write_csv(path, ds, label="label"):
+    """CSV bytes by the plain per-row formula: a ``csv.writer`` header, then
+    per row the ``repr`` of every feature value (an empty cell where the
+    missing mask is set) and the label as ``0`` or ``1``, joined by commas
+    and ended by ``\\r\\n``."""
+    holes = np.zeros(ds.n_rows, dtype=bool) if ds.missing_mask is None else ds.missing_mask.any(axis=1)
+    labels = ["1" if y else "0" for y in ds.labels.tolist()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(ds.feature_names + [label])
+        for i, row in enumerate(ds.features):
+            cells = list(map(repr, row.tolist()))
+            if holes[i]:
+                for j in np.flatnonzero(ds.missing_mask[i]):
+                    cells[j] = ""
+            cells.append(labels[i])
+            fh.write(",".join(cells) + "\r\n")

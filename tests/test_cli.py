@@ -2,14 +2,18 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tkgmlp import data
 from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main
-from tkgmlp.data import load_csv
+from tkgmlp.data import Dataset, load_csv, write_csv
 from tkgmlp.encoders import EncoderSpec
+
+from .helpers import per_row_write_csv
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -238,6 +242,67 @@ class TestEncode:
                        "--data", tmp_path / "data" / "test.csv", "--out", out)
         assert code == 0
         assert load_csv(out).n_rows == 200
+
+
+    @pytest.mark.parametrize("kind", ["qle", "ple", "quantile", "clr", "standardize"])
+    def test_blocks_match_whole_transform_through_oracle(self, tmp_path, monkeypatch, kind):
+        rng = np.random.default_rng(6)
+        n = 47
+        features = np.column_stack([rng.normal(size=n), rng.exponential(2.0, size=n),
+                                    rng.integers(0, 4, size=n).astype(float)])
+        mask = np.zeros(features.shape, dtype=bool)
+        mask[[2, 30], 0] = mask[[5, 46], 2] = True
+        features[mask] = np.nan
+        src = tmp_path / "in.csv"
+        write_csv(src, Dataset(features, (rng.random(n) < 0.4).astype(float), ["a", "b", "c"], missing_mask=mask))
+        cfg = write_config(tmp_path, encoder={"kind": kind, "n_bins": 8, "categorical": ["c"]})
+        monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 40)  # a few rows per block
+        out = tmp_path / "encoded.csv"
+        assert run_cli("encode", "--config", cfg, "--data", src, "--out", out) == 0
+        ds = load_csv(src)
+        spec = EncoderSpec.fit(ds.features, feature_names=ds.feature_names, kind=kind, n_bins=8,
+                               categorical_columns=[2])
+        expected = tmp_path / "expected.csv"
+        per_row_write_csv(expected, Dataset(spec.transform(ds.features), ds.labels, spec.output_names))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_failure_in_last_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        cfg = self.make_data(tmp_path)
+        train = load_csv(tmp_path / "data" / "train.csv")
+        apply = train.take(np.arange(10))
+        apply.features[9, 0] = -1e9  # below the CLR shift fitted on train
+        write_csv(tmp_path / "apply.csv", apply)
+        monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 3 * (train.features.shape[1] + 1))
+        seen = []
+        transform = EncoderSpec.transform
+        monkeypatch.setattr(EncoderSpec, "transform", lambda spec, x: seen.append(len(x)) or transform(spec, x))
+        out_dir = tmp_path / "encoded"
+        out_dir.mkdir()
+        code = run_cli("encode", "--config", cfg, "--set", "encoder.kind=clr",
+                       "--train", tmp_path / "data" / "train.csv", "--data", tmp_path / "apply.csv",
+                       "--out", out_dir / "out.csv")
+        assert code == 2
+        assert "DomainError" in capsys.readouterr().err
+        assert seen == [3, 3, 3, 1]
+        assert list(out_dir.iterdir()) == []
+
+    def test_memory_stays_below_the_encoded_table(self, tmp_path):
+        rows = 8_000
+        ds, _ = data.synth_generate(data.desk_tiny_spec(seed=0, n_columns=32), rows)
+        write_csv(tmp_path / "in.csv", ds)
+        cfg = write_config(tmp_path, encoder={"kind": "ple", "n_bins": 64})
+        out = tmp_path / "encoded.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli("encode", "--config", cfg, "--data", tmp_path / "in.csv", "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(out) as fh:
+            columns = len(fh.readline().split(",")) - 1
+        whole_table = rows * columns * 8
+        assert peak < whole_table / 4, (peak, whole_table)
 
 
 class TestCsvPipeline:

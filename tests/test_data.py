@@ -19,6 +19,8 @@ from tkgmlp.data import (
     write_csv,
 )
 
+from .helpers import per_row_write_csv
+
 
 class TestLoadCsv:
     def test_roundtrip_values_exact(self, tmp_path):
@@ -191,6 +193,64 @@ class TestLoadCsv:
             Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
         mask[1, 0] = True
         Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
+
+
+class TestWriteCsv:
+    """``write_csv``'s bytes against the per-row oracle, whatever the block."""
+
+    EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1.0000000000000002, 0.9999999999999999, 5e-324, 1e16, 1e-5, 0.1]
+
+    def table(self, kind, masked, n=9, d=5):
+        """Mostly exact 0.0/1.0 cells ("tokens") or mostly raw floats, the
+        edge values in the first two rows, both labels, and optionally a
+        masked cell that keeps its value and a fully masked row of NaN."""
+        rng = np.random.default_rng(4)
+        features = (rng.random((n, d)) < 0.5).astype(float) if kind == "tokens" else rng.normal(size=(n, d))
+        features.flat[:len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        mask = np.zeros((n, d), dtype=bool)
+        if masked:
+            mask[2, 1] = mask[5] = True
+            features[5] = np.nan
+        return Dataset(features, np.arange(n) % 2.0, [f"f{j}" for j in range(d)], missing_mask=mask)
+
+    def assert_matches_oracle(self, tmp_path, ds):
+        write_csv(tmp_path / "block.csv", ds)
+        per_row_write_csv(tmp_path / "oracle.csv", ds)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["tokens", "raw"])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("block_cells", [2, 6, 12, None], ids=["part-row", "one-row", "two-rows", "default"])
+    def test_bytes_match_per_row_oracle(self, tmp_path, monkeypatch, kind, masked, block_cells):
+        # Five features and a label make six cells a row; 9 rows are no multiple of 2.
+        if block_cells is not None:
+            monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", block_cells)
+        self.assert_matches_oracle(tmp_path, self.table(kind, masked))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no-rows", "no-features"])
+    def test_empty_shapes_match_oracle(self, tmp_path, shape):
+        ds = Dataset(np.ones(shape), np.arange(shape[0]) % 2.0, [f"f{j}" for j in range(shape[1])])
+        self.assert_matches_oracle(tmp_path, ds)
+        if shape[0] == 0:
+            assert (tmp_path / "block.csv").read_bytes() == b"f0,f1,f2,label\r\n"
+
+    def test_failed_write_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old contents")
+        real, calls = data._format_rows, []
+
+        def fail_on_second_block(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(data, "_format_rows", fail_on_second_block)
+        monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 6)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(path, self.table("raw", masked=False))
+        assert path.read_text() == "old contents"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestChronologicalSplit:

@@ -235,6 +235,17 @@ class TestEncoderSpec:
         assert out.shape[0] == x.shape[0]
         assert out.shape[1] == spec.output_dim
 
+    @pytest.mark.parametrize("kind", ["qle", "ple", "quantile", "clr", "standardize"])
+    def test_row_blocks_equal_whole_transform(self, kind):
+        x = self.make_features(n=203)
+        x[[3, 50, 202], 0] = np.nan
+        x[[7, 120], 2] = np.nan
+        spec = EncoderSpec.fit(x, kind=kind, n_bins=8, categorical_columns=[2])
+        whole = spec.transform(x)
+        for step in (1, 7, 64, 203):
+            blocks = [spec.transform(x[lo:lo + step]) for lo in range(0, len(x), step)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
     def test_unseen_values_never_nan(self):
         x = self.make_features()
         spec = EncoderSpec.fit(x, kind="qle", n_bins=8)
