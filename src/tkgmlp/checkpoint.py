@@ -23,7 +23,7 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 class CheckpointError(ValueError):
-    """Unreadable or version-mismatched checkpoint."""
+    """Unreadable, version-mismatched or invalid checkpoint."""
 
 
 @dataclass
@@ -44,18 +44,18 @@ def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes):
 
 def save_checkpoint(path, model: TkgmlpModel, encoder: EncoderSpec,
                     run_config: dict, best: dict):
-    arrays = model.state_arrays()
+    arrays = model.named_arrays()
     meta = {
         "format_version": FORMAT_VERSION,
         "run_config": run_config,
         "encoder": encoder.to_dict(),
         "model_config": model.cfg.to_dict(),
         "best": best,
-        "arrays": [name for name, _ in arrays],
+        "arrays": [name for name, _, _ in arrays],
     }
     with zipfile.ZipFile(path, "w") as zf:
         _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
-        for name, arr in arrays:
+        for name, arr, _ in arrays:
             buf = io.BytesIO()
             np.lib.format.write_array(buf, np.ascontiguousarray(arr))
             _write_member(zf, f"arrays/{name}.npy", buf.getvalue())
@@ -84,13 +84,27 @@ def load_checkpoint(path) -> Checkpoint:
                 buf = io.BytesIO(zf.read(f"arrays/{name}.npy"))
             except KeyError:
                 raise CheckpointError(f"{path}: array member {name!r} missing") from None
-            stored[name] = np.lib.format.read_array(buf)
-        for name, arr in model.state_arrays():
-            if name not in stored:
+            try:
+                stored[name] = np.lib.format.read_array(buf)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: array {name!r} is unreadable: {exc}") from None
+        arrays = model.named_arrays()
+        extra = sorted(set(stored) - {name for name, _, _ in arrays})
+        if extra:
+            raise CheckpointError(f"{path}: arrays {extra} do not belong to the model its config describes")
+        for name, arr, _ in arrays:
+            got = stored.get(name)
+            if got is None:
                 raise CheckpointError(f"{path}: missing array {name!r}")
-            if stored[name].shape != arr.shape:
-                raise CheckpointError(f"{path}: array {name!r} has shape {stored[name].shape}, expected {arr.shape}")
-            np.copyto(arr, stored[name])
+            if got.shape != arr.shape:
+                raise CheckpointError(f"{path}: array {name!r} has shape {got.shape}, expected {arr.shape}")
+            if got.dtype.kind != "f":
+                raise CheckpointError(f"{path}: array {name!r} has dtype {got.dtype}, expected a float dtype")
+            if not np.all(np.isfinite(got)):
+                raise CheckpointError(f"{path}: array {name!r} holds NaN or Inf")
+            if name.endswith(".running_var") and np.any(got < 0.0):
+                raise CheckpointError(f"{path}: array {name!r} holds a negative variance")
+            np.copyto(arr, got)
         return Checkpoint(
             version=version,
             run_config=meta["run_config"],

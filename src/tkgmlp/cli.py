@@ -136,6 +136,20 @@ def _fit_encoder(cfg: RunConfig, train_ds: data_mod.Dataset) -> EncoderSpec:
     )
 
 
+def _features_by_name(ds: data_mod.Dataset, names: list[str], path) -> np.ndarray:
+    """``ds.features`` with its columns in the order of ``names``, the columns
+    the encoder was fitted on; ``ds.features`` itself when they already are."""
+    if ds.feature_names == names:
+        return ds.features
+    have = ds.feature_names
+    missing = [n for n in names if n not in have]
+    extra = [n for n in have if n not in names]
+    if missing or extra or len(set(have)) < len(have) or len(have) != len(names):
+        raise data_mod.DataError(f"{path}: feature columns are not the {len(names)} training columns "
+                                 f"in some order: missing {missing}, extra {extra}")
+    return ds.features[:, [have.index(n) for n in names]]
+
+
 def _model_config(cfg: RunConfig, input_dim: int) -> ModelConfig:
     section = dict(cfg.model)
     section.setdefault("hidden_dim", 64)
@@ -220,7 +234,7 @@ def cmd_evaluate(args) -> int:
     time_col = args.time if args.time is not None else data_section.get("time")
     ds = data_mod.load_csv(args.data, label=label, time=time_col,
                            ignore=tuple(data_section.get("ignore", ())))
-    x = loaded.encoder.transform(ds.features)
+    x = loaded.encoder.transform(_features_by_name(ds, loaded.encoder.feature_names, args.data))
     scores = loaded.model.predict(x)
     report = metrics_mod.compute_metrics(scores, ds.labels)
     print(f"n_rows={ds.n_rows}")
@@ -269,7 +283,8 @@ def cmd_grid(args) -> int:
 
 def cmd_encode(args) -> int:
     """Fit the configured encoder on ``--train`` (default ``--data``) and
-    write ``--data`` encoded to ``--out``. Rows are encoded and written one
+    write ``--data``, its columns matched to ``--train``'s by name, encoded
+    to ``--out``. Rows are encoded and written one
     ``data.rows_per_block`` block at a time, so the encoded table never
     exists whole; ``EncoderSpec.transform`` works row by row, so the blocks
     give the rows one whole transform would. ``--out`` appears only once
@@ -279,12 +294,13 @@ def cmd_encode(args) -> int:
     fit_ds = data_mod.load_csv(fit_path, label=args.label)
     apply_ds = fit_ds if fit_path == args.data else data_mod.load_csv(args.data, label=args.label)
     encoder = _fit_encoder(cfg, fit_ds)
+    features = _features_by_name(apply_ds, encoder.feature_names, args.data)
     names = encoder.output_names
     step = data_mod.rows_per_block(len(names))
     with data_mod.csv_block_writer(args.out, names, label=args.label) as write:
         # One block even with no rows, so that transform checks the columns.
         for lo in range(0, max(apply_ds.n_rows, 1), step):
-            write(encoder.transform(apply_ds.features[lo:lo + step]), apply_ds.labels[lo:lo + step])
+            write(encoder.transform(features[lo:lo + step]), apply_ds.labels[lo:lo + step])
     log.info("wrote %s (%d rows, %d columns)", args.out, apply_ds.n_rows, len(names))
     print(f"encoded_rows={apply_ds.n_rows}")
     print(f"encoded_columns={len(names)}")

@@ -27,7 +27,7 @@ from .nn_core import (
 
 
 @dataclass
-class GmlpBlockParams:
+class GmlpBlockParams(nn_core.ParameterHolder):
     bn: BatchNormState  # over input dim d
     gate: LinearParams  # V, b1: d -> h, silu side
     value: LinearParams  # U, b2: d -> h
@@ -56,18 +56,8 @@ class GmlpBlockParams:
     def out_dim(self) -> int:
         return self.gate.out_dim
 
-    def parameters(self):
-        return self.bn.parameters() + self.gate.parameters() + self.value.parameters()
-
-    def zero_grads(self):
-        self.bn.zero_grads()
-        self.gate.zero_grads()
-        self.value.zero_grads()
-
-    def set_frozen(self, flag: bool):
-        self.bn.frozen = flag
-        self.gate.frozen = flag
-        self.value.frozen = flag
+    def named_arrays(self):
+        return nn_core.prefixed([("bn", self.bn), ("gate", self.gate), ("value", self.value)])
 
 
 def swiglu(x: np.ndarray, p: GmlpBlockParams):
@@ -92,12 +82,10 @@ def swiglu_backward(upstream: np.ndarray, cache, p: GmlpBlockParams) -> np.ndarr
     dgate *= silu_derivative(gate_pre, sig)
     dvalue = silu(gate_pre, sig)
     dvalue *= upstream
-    if not p.gate.frozen:
-        p.gate.grad_weight += x.T @ dgate
-        p.gate.grad_bias += dgate.sum(axis=0)
-    if not p.value.frozen:
-        p.value.grad_weight += x.T @ dvalue
-        p.value.grad_bias += dvalue.sum(axis=0)
+    p.gate.grad_weight += x.T @ dgate
+    p.gate.grad_bias += dgate.sum(axis=0)
+    p.value.grad_weight += x.T @ dvalue
+    p.value.grad_bias += dvalue.sum(axis=0)
     dx = dgate @ p.gate.weight.T
     dx += dvalue @ p.value.weight.T
     return dx

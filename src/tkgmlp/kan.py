@@ -25,7 +25,7 @@ from .spline import KnotVector, basis_derivative_matrix, basis_matrix, build_kno
 
 
 @dataclass
-class KanLayerParams:
+class KanLayerParams(nn_core.ParameterHolder):
     """Spline coefficients plus base/spline edge weights for one layer."""
 
     kv: KnotVector
@@ -35,7 +35,6 @@ class KanLayerParams:
     grad_base_weight: np.ndarray = field(default=None, repr=False)
     grad_spline_weight: np.ndarray = field(default=None, repr=False)
     grad_coeffs: np.ndarray = field(default=None, repr=False)
-    frozen: bool = False
 
     def __post_init__(self):
         if self.coeffs.shape != (*self.base_weight.shape, self.kv.n_basis):
@@ -60,17 +59,12 @@ class KanLayerParams:
     def out_dim(self) -> int:
         return self.base_weight.shape[0]
 
-    def parameters(self):
+    def named_arrays(self):
         return [
-            (self.base_weight, self.grad_base_weight),
-            (self.spline_weight, self.grad_spline_weight),
-            (self.coeffs, self.grad_coeffs),
+            ("base_weight", self.base_weight, self.grad_base_weight),
+            ("spline_weight", self.spline_weight, self.grad_spline_weight),
+            ("coeffs", self.coeffs, self.grad_coeffs),
         ]
-
-    def zero_grads(self):
-        self.grad_base_weight[...] = 0.0
-        self.grad_spline_weight[...] = 0.0
-        self.grad_coeffs[...] = 0.0
 
 
 def kan_init(
@@ -127,12 +121,11 @@ def kan_backward(upstream: np.ndarray, cache, p: KanLayerParams) -> np.ndarray:
     rows = x.shape[0]
     if upstream.shape != (rows, p.out_dim) or basis.shape != (rows, p.in_dim, p.kv.n_basis):
         raise ShapeError("kan_backward: upstream/cache shapes do not match layer")
-    if not p.frozen:
-        p.grad_base_weight += upstream.T @ silu(x, sig)
-        # per-edge basis response aggregated over the batch
-        agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
-        p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
-        p.grad_coeffs += agg * p.spline_weight[:, :, None]
+    p.grad_base_weight += upstream.T @ silu(x, sig)
+    # per-edge basis response aggregated over the batch
+    agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
+    p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
+    p.grad_coeffs += agg * p.spline_weight[:, :, None]
     spline_dx = (upstream @ weighted).reshape(basis.shape)
     spline_dx *= dbasis
     dx = silu_derivative(x, sig)

@@ -58,77 +58,47 @@ class ModelConfig:
 
 
 @dataclass
-class TkgmlpModel:
+class TkgmlpModel(nn_core.ParameterHolder):
     cfg: ModelConfig
     input_bn: nn_core.BatchNormState
     kan_stack: list[kan.KanLayerParams]
     gmlp_stack: list[gmlp.GmlpBlockParams]
     head: nn_core.LinearParams
 
-    def trainable_parameters(self):
-        """(array, grad) pairs in a fixed traversal order, frozen ones skipped."""
-        pairs = []
-        if not self.input_bn.frozen:
-            pairs += self.input_bn.parameters()
-        for layer in self.kan_stack:
-            if not layer.frozen:
-                pairs += layer.parameters()
-        for block in self.gmlp_stack:
-            pairs += [pg for comp in (block.bn, block.gate, block.value) if not comp.frozen for pg in comp.parameters()]
-        if not self.head.frozen:
-            pairs += self.head.parameters()
-        return pairs
+    def named_arrays(self) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+        """Every array that defines the model, as (name, array, grad) in one
+        fixed order: input BN, each KAN layer, each gMLP block, the head.
 
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Every array defining the model, named; includes BN running stats."""
-        out = [
-            ("input_bn.gamma", self.input_bn.gamma),
-            ("input_bn.beta", self.input_bn.beta),
-            ("input_bn.running_mean", self.input_bn.running_mean),
-            ("input_bn.running_var", self.input_bn.running_var),
-        ]
-        for i, layer in enumerate(self.kan_stack):
-            out += [
-                (f"kan.{i}.base_weight", layer.base_weight),
-                (f"kan.{i}.spline_weight", layer.spline_weight),
-                (f"kan.{i}.coeffs", layer.coeffs),
-            ]
-        for i, block in enumerate(self.gmlp_stack):
-            out += [
-                (f"gmlp.{i}.bn.gamma", block.bn.gamma),
-                (f"gmlp.{i}.bn.beta", block.bn.beta),
-                (f"gmlp.{i}.bn.running_mean", block.bn.running_mean),
-                (f"gmlp.{i}.bn.running_var", block.bn.running_var),
-                (f"gmlp.{i}.gate.weight", block.gate.weight),
-                (f"gmlp.{i}.gate.bias", block.gate.bias),
-                (f"gmlp.{i}.value.weight", block.value.weight),
-                (f"gmlp.{i}.value.bias", block.value.bias),
-            ]
-        out += [("head.weight", self.head.weight), ("head.bias", self.head.bias)]
-        return out
+        This is the one walk over the model's arrays. The names are the
+        checkpoint's member names and this order is its ``arrays`` list, so
+        a rename or reorder changes the checkpoint format. ``grad`` is the
+        parameter's gradient buffer, or None for a batch-norm running
+        statistic, which is state that training updates but does not learn.
+        """
+        return nn_core.prefixed([
+            ("input_bn", self.input_bn),
+            *((f"kan.{i}", layer) for i, layer in enumerate(self.kan_stack)),
+            *((f"gmlp.{i}", block) for i, block in enumerate(self.gmlp_stack)),
+            ("head", self.head),
+        ])
+
+    def trainable_parameters(self):
+        """(array, grad) of every learned parameter, in registry order."""
+        return [(arr, grad) for _, arr, grad in self.named_arrays() if grad is not None]
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.state_arrays()}
+        return {name: arr.copy() for name, arr, _ in self.named_arrays()}
 
     def restore(self, snap: dict[str, np.ndarray]):
-        for name, arr in self.state_arrays():
+        for name, arr, _ in self.named_arrays():
             np.copyto(arr, snap[name])
 
-    def zero_grads(self):
-        self.input_bn.zero_grads()
-        for layer in self.kan_stack:
-            layer.zero_grads()
-        for block in self.gmlp_stack:
-            block.zero_grads()
-        self.head.zero_grads()
+    # bound in this class body so that TkgmlpModel.__dict__ holds it, where
+    # perfbench/tracer.py finds the methods it times
+    zero_grads = nn_core.ParameterHolder.zero_grads
 
     def parameter_count(self) -> int:
-        seen = 0
-        for comps in ([self.input_bn], self.kan_stack, [b.bn for b in self.gmlp_stack],
-                      [b.gate for b in self.gmlp_stack], [b.value for b in self.gmlp_stack], [self.head]):
-            for comp in comps:
-                seen += sum(arr.size for arr, _ in comp.parameters())
-        return seen
+        return sum(arr.size for arr, _ in self.trainable_parameters())
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
         """Return (scores, cache). Train mode draws dropout masks from ``rng``,

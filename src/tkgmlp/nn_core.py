@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BCE_CLAMP_EPS = 1e-7
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
+BN_EPSILON = 1e-5  # added to every variance before its square root
 
 
 class ShapeError(ValueError):
@@ -86,15 +88,31 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
     return rng.uniform(-limit, limit, size=shape)
 
 
+class ParameterHolder:
+    """Base of the classes that hold arrays. Each lists them in its
+    ``named_arrays()`` as (name, array, grad), where grad is the gradient
+    buffer, or None for state that is not learned."""
+
+    def zero_grads(self):
+        for _, _, grad in self.named_arrays():
+            if grad is not None:
+                grad[...] = 0.0
+
+
+def prefixed(parts) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+    """One registry from (prefix, holder) pairs: each of the holder's
+    ``named_arrays`` entries, in order, with its name as ``prefix.name``."""
+    return [(f"{prefix}.{name}", arr, grad) for prefix, holder in parts for name, arr, grad in holder.named_arrays()]
+
+
 @dataclass
-class LinearParams:
+class LinearParams(ParameterHolder):
     """Affine map y = x W + b with gradient buffers of matching shapes."""
 
     weight: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
     grad_weight: np.ndarray = field(default=None, repr=False)
     grad_bias: np.ndarray = field(default=None, repr=False)
-    frozen: bool = False
 
     def __post_init__(self):
         if self.grad_weight is None:
@@ -119,12 +137,8 @@ class LinearParams:
     def out_dim(self) -> int:
         return self.weight.shape[1]
 
-    def parameters(self):
-        return [(self.weight, self.grad_weight), (self.bias, self.grad_bias)]
-
-    def zero_grads(self):
-        self.grad_weight[...] = 0.0
-        self.grad_bias[...] = 0.0
+    def named_arrays(self):
+        return [("weight", self.weight, self.grad_weight), ("bias", self.bias, self.grad_bias)]
 
 
 def linear_forward(x: np.ndarray, p: LinearParams):
@@ -139,31 +153,23 @@ def linear_backward(upstream: np.ndarray, cache: np.ndarray, p: LinearParams) ->
     x = cache
     if upstream.shape != (x.shape[0], p.out_dim):
         raise ShapeError(f"linear_backward: upstream {upstream.shape} does not match cache")
-    if not p.frozen:
-        p.grad_weight += x.T @ upstream
-        p.grad_bias += upstream.sum(axis=0)
+    p.grad_weight += x.T @ upstream
+    p.grad_bias += upstream.sum(axis=0)
     return upstream @ p.weight.T
 
 
 @dataclass
-class BatchNormState:
+class BatchNormState(ParameterHolder):
     """Per-column standardization with learnable scale/shift and running stats."""
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
     grad_gamma: np.ndarray = field(default=None, repr=False)
     grad_beta: np.ndarray = field(default=None, repr=False)
-    frozen: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.momentum < 1.0):
-            raise ValueError("momentum must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if np.any(self.running_var < 0.0):
             raise ValueError("running_var entries must be >= 0")
         if self.grad_gamma is None:
@@ -172,26 +178,17 @@ class BatchNormState:
             self.grad_beta = np.zeros_like(self.beta)
 
     @classmethod
-    def create(cls, dim: int, momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            gamma=np.ones(dim),
-            beta=np.zeros(dim),
-            running_mean=np.zeros(dim),
-            running_var=np.ones(dim),
-            momentum=momentum,
-            epsilon=epsilon,
-        )
+    def create(cls, dim: int) -> "BatchNormState":
+        return cls(gamma=np.ones(dim), beta=np.zeros(dim), running_mean=np.zeros(dim), running_var=np.ones(dim))
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    def parameters(self):
-        return [(self.gamma, self.grad_gamma), (self.beta, self.grad_beta)]
-
-    def zero_grads(self):
-        self.grad_gamma[...] = 0.0
-        self.grad_beta[...] = 0.0
+    def named_arrays(self):
+        """The running statistics are state, not parameters: their grad is None."""
+        return [("gamma", self.gamma, self.grad_gamma), ("beta", self.beta, self.grad_beta),
+                ("running_mean", self.running_mean, None), ("running_var", self.running_var, None)]
 
 
 def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
@@ -207,12 +204,12 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
             raise DegenerateBatchError("batch statistics need at least 2 rows in train mode")
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + s.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mean) * inv_std
-        s.running_mean[...] = (1.0 - s.momentum) * s.running_mean + s.momentum * mean
-        s.running_var[...] = (1.0 - s.momentum) * s.running_var + s.momentum * var
+        s.running_mean[...] = (1.0 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mean
+        s.running_var[...] = (1.0 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var
         return s.gamma * xhat + s.beta, (xhat, inv_std)
-    inv_std = 1.0 / np.sqrt(s.running_var + s.epsilon)
+    inv_std = 1.0 / np.sqrt(s.running_var + BN_EPSILON)
     return s.gamma * (x - s.running_mean) * inv_std + s.beta, None
 
 
@@ -223,9 +220,8 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
     xhat, inv_std = cache
     if upstream.shape != xhat.shape:
         raise ShapeError("batchnorm_backward: upstream does not match cache")
-    if not s.frozen:
-        s.grad_gamma += (upstream * xhat).sum(axis=0)
-        s.grad_beta += upstream.sum(axis=0)
+    s.grad_gamma += (upstream * xhat).sum(axis=0)
+    s.grad_beta += upstream.sum(axis=0)
     t = upstream * s.gamma
     return inv_std * (t - t.mean(axis=0) - xhat * (t * xhat).mean(axis=0))
 

@@ -61,16 +61,6 @@ class KnotVector:
     def grid_size(self) -> int:
         return self.knots.size - 1 - 2 * self.degree
 
-    @classmethod
-    def from_knots(cls, knots, degree: int, domain: tuple[float, float] | None = None) -> "KnotVector":
-        knots = np.asarray(knots, dtype=np.float64)
-        if degree < 0 or knots.size < degree + 2:
-            raise ValueError("degree must be >= 0 with at least degree + 2 knots")
-        if domain is None:
-            m = knots.size - 1
-            domain = (float(knots[degree]), float(knots[m - degree]))
-        return cls(knots=knots, degree=degree, domain=domain)
-
 
 def build_knots(grid_size: int, degree: int, domain: tuple[float, float] = (-1.0, 1.0)) -> KnotVector:
     """Uniform knots over [a, b] extended ``degree`` steps beyond each end."""
@@ -129,7 +119,12 @@ class _CellPolys:
         """
         p, nb = self.degree, kv.n_basis
         s = (u - kv.knots[0]) / self.h
-        cell = np.floor(s).astype(np.int64)
+        if p == 1:
+            # the derivative jumps at every knot; a point on a knot takes the
+            # cell to its right, as the recursion does, however s rounds
+            cell = np.searchsorted(kv.knots, u, side="right") - 1
+        else:
+            cell = np.floor(s).astype(np.int64)
         at_b = u == kv.domain[1]
         if at_b.any():
             # the right domain edge belongs to the cell that ends there
@@ -224,13 +219,3 @@ def basis_derivative_matrix(u, kv: KnotVector) -> np.ndarray:
     left = np.where(den_l > 0.0, lower[:, :-1] / np.where(den_l > 0.0, den_l, 1.0), 0.0)
     right = np.where(den_r > 0.0, lower[:, 1:] / np.where(den_r > 0.0, den_r, 1.0), 0.0)
     return p * (left - right)
-
-
-def bspline_basis(u: float, kv: KnotVector) -> np.ndarray:
-    """Basis vector N_{i,p}(u) at a single point."""
-    return basis_matrix([u], kv)[0]
-
-
-def bspline_basis_derivative(u: float, kv: KnotVector) -> np.ndarray:
-    """Derivative vector dN_{i,p}/du at a single point (right-limit at knots)."""
-    return basis_derivative_matrix([u], kv)[0]

@@ -1,11 +1,15 @@
 """Shared test oracles: finite differences, ECDF comparisons, brute-force metrics.
 
 These stay deliberately independent of the library code paths they check.
+The spline helpers at the end are not oracles: they build explicit knot
+vectors and evaluate single points through the library.
 """
 
 import csv
 
 import numpy as np
+
+from tkgmlp.spline import KnotVector, basis_derivative_matrix, basis_matrix
 
 
 def finite_difference_grad(f, arr, eps=1e-5):
@@ -94,3 +98,25 @@ def per_row_write_csv(path, ds, label="label"):
                     cells[j] = ""
             cells.append(labels[i])
             fh.write(",".join(cells) + "\r\n")
+
+
+def from_knots(knots, degree, domain=None):
+    """A KnotVector over explicit knots; the domain defaults to the interior
+    span [u_p, u_{m-p}]."""
+    knots = np.asarray(knots, dtype=np.float64)
+    if degree < 0 or knots.size < degree + 2:
+        raise ValueError("degree must be >= 0 with at least degree + 2 knots")
+    if domain is None:
+        m = knots.size - 1
+        domain = (float(knots[degree]), float(knots[m - degree]))
+    return KnotVector(knots=knots, degree=degree, domain=domain)
+
+
+def bspline_basis(u, kv):
+    """Basis vector N_{i,p}(u) at a single point."""
+    return basis_matrix([u], kv)[0]
+
+
+def bspline_basis_derivative(u, kv):
+    """Derivative vector dN_{i,p}/du at a single point (right-limit at knots)."""
+    return basis_derivative_matrix([u], kv)[0]

@@ -1,3 +1,4 @@
+import io
 import json
 import zipfile
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from tkgmlp.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tkgmlp.cli import main as cli_main
+from tkgmlp.data import Dataset, write_csv
 from tkgmlp.encoders import EncoderSpec
 from tkgmlp.model import ModelConfig, build_model
+from tkgmlp.trainer import TrainConfig, train
 
 
 @pytest.fixture
@@ -89,3 +93,111 @@ class TestVersioning:
                 zf.writestr(name, payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _replace_array(path, name, arr):
+    """Rewrite one array member of a saved checkpoint."""
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    members[f"arrays/{name}.npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, payload in members.items():
+            zf.writestr(member, payload)
+
+
+def _first_nan(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+class TestArrayValidation:
+    @pytest.mark.parametrize("name, corrupt, reason", [
+        ("head.weight", _first_nan, "NaN or Inf"),
+        ("kan.0.coeffs", lambda a: np.full_like(a, np.inf), "NaN or Inf"),
+        ("input_bn.running_var", lambda a: -a, "negative variance"),
+        ("gmlp.0.bn.running_var", lambda a: a - a.max() - 1e-12, "negative variance"),
+        ("head.bias", lambda a: a.astype(np.int64), "dtype int64"),
+        ("gmlp.0.gate.weight", lambda a: a.astype(np.complex128), "dtype complex128"),
+    ])
+    def test_bad_array_rejected(self, tmp_path, fitted_pieces, name, corrupt, reason):
+        _, encoder, model = fitted_pieces
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoder, {}, {})
+        _replace_array(path, name, corrupt(model.snapshot()[name]))
+        with pytest.raises(CheckpointError, match=f"array '{name}'") as exc:
+            load_checkpoint(path)
+        assert reason in str(exc.value)
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("head.weight", _first_nan),
+        ("input_bn.running_var", lambda a: -a),
+    ])
+    def test_evaluate_exits_two(self, tmp_path, capsys, fitted_pieces, name, corrupt):
+        features, encoder, model = fitted_pieces
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoder, {}, {})
+        _replace_array(path, name, corrupt(model.snapshot()[name]))
+        labels = (np.arange(len(features)) % 3 == 0).astype(float)
+        write_csv(tmp_path / "data.csv", Dataset(features, labels, encoder.feature_names))
+        assert cli_main(["evaluate", "--checkpoint", str(path), "--data", str(tmp_path / "data.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err and repr(name) in err
+
+
+def test_arrays_outside_the_config_rejected(tmp_path):
+    encoder = EncoderSpec.fit(np.random.default_rng(0).normal(size=(30, 3)), kind="qle", n_bins=4)
+    cfg = ModelConfig(input_dim=encoder.output_dim, hidden_dim=4, kan_layers=2, gmlp_layers=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_model(cfg, seed=0), encoder, {}, {})
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    meta = json.loads(members["meta.json"])
+    meta["model_config"]["kan_layers"] = 1  # kan.0 and gmlp.0 still fit this config
+    members["meta.json"] = json.dumps(meta).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, payload in members.items():
+            zf.writestr(member, payload)
+    with pytest.raises(CheckpointError, match=r"\['kan\.1\.base_weight', 'kan\.1\.coeffs', 'kan\.1\.spline_weight'\]"):
+        load_checkpoint(path)
+
+
+def test_array_layout_pinned(tmp_path):
+    """FORMAT_VERSION 1 stores its arrays under these names, in this order."""
+    encoder = EncoderSpec.fit(np.random.default_rng(0).normal(size=(30, 3)), kind="qle", n_bins=4)
+    cfg = ModelConfig(input_dim=encoder.output_dim, hidden_dim=4, kan_layers=2, gmlp_layers=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_model(cfg, seed=0), encoder, {}, {})
+    layer = ["base_weight", "spline_weight", "coeffs"]
+    bn = ["gamma", "beta", "running_mean", "running_var"]
+    block = [f"bn.{n}" for n in bn] + ["gate.weight", "gate.bias", "value.weight", "value.bias"]
+    expected = ([f"input_bn.{n}" for n in bn] + [f"kan.{i}.{n}" for i in range(2) for n in layer]
+                + [f"gmlp.{i}.{n}" for i in range(2) for n in block] + ["head.weight", "head.bias"])
+    assert len(expected) == 28
+    with zipfile.ZipFile(path) as zf:
+        assert json.loads(zf.read("meta.json"))["arrays"] == expected
+        assert zf.namelist() == ["meta.json"] + [f"arrays/{n}.npy" for n in expected]
+
+
+@pytest.mark.parametrize("overrides", [{"spline_degree": 0}, {"spline_range": (100.0, 100.01)}])
+def test_recursion_configs_train_and_round_trip(tmp_path, overrides):
+    """Configs whose knots the Cox-de Boor recursion evaluates (degree 0, or
+    a grid that fails the uniformity check) train, save and load."""
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(120, 4))
+    labels = (features[:, 0] + rng.normal(size=120) > 0.0).astype(float)
+    encoder = EncoderSpec.fit(features, kind="qle", n_bins=8)
+    x = encoder.transform(features)
+    cfg = ModelConfig(input_dim=encoder.output_dim, hidden_dim=8, kan_layers=2, gmlp_layers=1, **overrides)
+    model = build_model(cfg, seed=3)
+    assert all(layer.kv._polys is None for layer in model.kan_stack)
+    before = model.snapshot()
+    train(model, (x[:80], labels[:80]), (x[80:], labels[80:]), TrainConfig(batch_size=16, max_epochs=1, lr0=0.01))
+    assert any(not np.array_equal(arr, before[name]) for name, arr, _ in model.named_arrays())
+    scores = model.predict(x)
+    assert np.all(np.isfinite(scores))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, encoder, {}, {})
+    assert np.array_equal(load_checkpoint(path).model.predict(x), scores)

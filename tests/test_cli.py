@@ -162,6 +162,24 @@ class TestEvaluate:
         assert code == 2
         assert "positive and one negative" in capsys.readouterr().err
 
+    def test_columns_matched_by_name(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        run_cli("fit", "--config", cfg)
+        run_cli("synth", "--config", cfg, "--set", f"output_dir={tmp_path / 'data'}")
+        test = load_csv(tmp_path / "data" / "test.csv")
+        write_csv(tmp_path / "reversed.csv",
+                  Dataset(test.features[:, ::-1].copy(), test.labels, test.feature_names[::-1]))
+        write_csv(tmp_path / "dropped.csv", Dataset(test.features[:, 1:], test.labels, test.feature_names[1:]))
+        ckpt = tmp_path / "out" / "model.ckpt"
+        capsys.readouterr()
+        outs = []
+        for path in (tmp_path / "data" / "test.csv", tmp_path / "reversed.csv"):
+            assert run_cli("evaluate", "--checkpoint", ckpt, "--data", path) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert run_cli("evaluate", "--checkpoint", ckpt, "--data", tmp_path / "dropped.csv") == 2
+        assert f"missing [{test.feature_names[0]!r}], extra []" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_two_point_space_ranked(self, tmp_path, capsys):
@@ -242,6 +260,24 @@ class TestEncode:
                        "--data", tmp_path / "data" / "test.csv", "--out", out)
         assert code == 0
         assert load_csv(out).n_rows == 200
+
+    def test_data_columns_matched_by_name(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        features = np.column_stack([rng.normal(size=50), rng.normal(10.0, 1.0, size=50)])
+        labels = (rng.random(50) < 0.5).astype(float)
+        write_csv(tmp_path / "ab.csv", Dataset(features, labels, ["a", "b"]))
+        write_csv(tmp_path / "ba.csv", Dataset(features[:, ::-1].copy(), labels, ["b", "a"]))
+        write_csv(tmp_path / "ac.csv", Dataset(features, labels, ["a", "c"]))
+        cfg = write_config(tmp_path)
+        for name in ("ab", "ba"):
+            assert run_cli("encode", "--config", cfg, "--train", tmp_path / "ab.csv",
+                           "--data", tmp_path / f"{name}.csv", "--out", tmp_path / f"{name}.out.csv") == 0
+        assert (tmp_path / "ba.out.csv").read_bytes() == (tmp_path / "ab.out.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli("encode", "--config", cfg, "--train", tmp_path / "ab.csv",
+                       "--data", tmp_path / "ac.csv", "--out", tmp_path / "ac.out.csv") == 2
+        assert "missing ['b'], extra ['c']" in capsys.readouterr().err
+        assert not (tmp_path / "ac.out.csv").exists()
 
 
     @pytest.mark.parametrize("kind", ["qle", "ple", "quantile", "clr", "standardize"])

@@ -8,7 +8,7 @@ from tkgmlp.gmlp import (
     swiglu,
     swiglu_backward,
 )
-from tkgmlp.nn_core import LinearParams, ShapeError, silu
+from tkgmlp.nn_core import BN_EPSILON, LinearParams, ShapeError, silu
 
 from .helpers import finite_difference_grad, rel_err
 
@@ -76,7 +76,7 @@ class TestBlock:
         p.value.bias[...] = 0.0
         x = np.random.default_rng(0).normal(size=(5, 3))
         y, _ = gmlp_block_forward(x, p, train=False)
-        scaled = x / np.sqrt(1.0 + p.bn.epsilon)
+        scaled = x / np.sqrt(1.0 + BN_EPSILON)
         np.testing.assert_allclose(y, silu(scaled) * scaled, atol=1e-12)
 
     def test_constant_input_in_train_mode(self):

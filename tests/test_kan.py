@@ -139,16 +139,6 @@ class TestBackward:
         with pytest.raises(ShapeError):
             kan_backward(np.zeros((4, 3)), cache, p)
 
-    def test_frozen_layer_accumulates_nothing(self):
-        p = make_layer()
-        p.frozen = True
-        x = np.random.default_rng(0).uniform(-1, 1, (5, 4))
-        _, cache = kan_forward(x, p)
-        p.zero_grads()
-        dx = kan_backward(np.ones((5, 3)), cache, p)
-        assert np.all(p.grad_coeffs == 0.0)
-        assert not np.all(dx == 0.0)  # input gradient still flows
-
 
 class TestInit:
     def test_deterministic(self):

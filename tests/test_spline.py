@@ -8,10 +8,10 @@ from tkgmlp.spline import (
     _recursion_basis_matrix,
     basis_derivative_matrix,
     basis_matrix,
-    bspline_basis,
-    bspline_basis_derivative,
     build_knots,
 )
+
+from .helpers import bspline_basis, bspline_basis_derivative, from_knots
 
 
 class TestBuildKnots:
@@ -40,23 +40,23 @@ class TestBuildKnots:
 
 class TestDegreeZero:
     def test_indicator(self):
-        kv = KnotVector.from_knots([0.0, 1.0], degree=0)
+        kv = from_knots([0.0, 1.0], degree=0)
         assert bspline_basis(0.5, kv)[0] == 1.0
         assert bspline_basis(1.5, kv)[0] == 0.0
 
     def test_right_edge_closed(self):
-        kv = KnotVector.from_knots([0.0, 1.0], degree=0)
+        kv = from_knots([0.0, 1.0], degree=0)
         assert bspline_basis(1.0, kv)[0] == 1.0
 
     def test_left_of_domain_zero(self):
-        kv = KnotVector.from_knots([0.0, 1.0], degree=0)
+        kv = from_knots([0.0, 1.0], degree=0)
         assert bspline_basis(-0.5, kv)[0] == 0.0
 
 
 class TestHatFunctions:
     def test_apex_value_by_recursion(self):
         # N_{0,1} over knots (0,1,2) evaluated at the apex
-        kv = KnotVector.from_knots([0.0, 1.0, 2.0], degree=1)
+        kv = from_knots([0.0, 1.0, 2.0], degree=1)
         assert bspline_basis(1.0, kv)[0] == 1.0
 
     def test_rising_edge_slope(self):
@@ -108,7 +108,7 @@ class TestDerivative:
         assert np.abs(analytic - fd).max() / scale < 1e-6
 
     def test_degree_zero_derivative_is_zero(self):
-        kv = KnotVector.from_knots([0.0, 1.0], degree=0)
+        kv = from_knots([0.0, 1.0], degree=0)
         assert np.all(basis_derivative_matrix([0.3, 0.9], kv) == 0.0)
 
 
@@ -154,29 +154,17 @@ class TestFusedBasisOracle:
         assert np.allclose(basis[at_b].sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
         beyond = (u < kv.knots[0]) | (u > kv.knots[-1])
         assert np.all(basis[beyond] == 0.0) and np.all(deriv[beyond] == 0.0)
-        if degree != 1:
-            np.testing.assert_allclose(deriv, r_deriv, rtol=0.0, atol=1e-12)
-            return
-        # hat-function derivatives jump at knots: the cell lookup may round a
-        # point within an ulp of a knot into either neighbouring cell, so
-        # there it gives one of the two one-sided derivatives of the recursion
-        nearest = kv.knots[np.abs(u[:, None] - kv.knots).argmin(axis=1)]
-        near = np.abs(u - nearest) < 1e-12
-        np.testing.assert_allclose(deriv[~near], r_deriv[~near], rtol=0.0, atol=1e-12)
-        right = basis_derivative_matrix(np.nextafter(nearest[near], np.inf), rkv)
-        left = basis_derivative_matrix(np.nextafter(nearest[near], -np.inf), rkv)
-        gap = np.minimum(np.abs(deriv[near] - right).max(axis=1), np.abs(deriv[near] - left).max(axis=1))
-        assert gap.max() < 1e-9
+        np.testing.assert_allclose(deriv, r_deriv, rtol=0.0, atol=1e-12)
 
 
 class TestZeroDenominators:
     def test_repeated_knots_no_nan(self):
-        kv = KnotVector.from_knots([0.0, 0.0, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
+        kv = from_knots([0.0, 0.0, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
         vals = basis_matrix(np.linspace(0.0, 1.0, 11), kv)
         assert np.all(np.isfinite(vals))
 
     def test_repeated_knot_derivative_no_nan(self):
-        kv = KnotVector.from_knots([0.0, 0.0, 0.5, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
+        kv = from_knots([0.0, 0.0, 0.5, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
         vals = basis_derivative_matrix(np.linspace(0.01, 0.99, 9), kv)
         assert np.all(np.isfinite(vals))
 
@@ -184,15 +172,15 @@ class TestZeroDenominators:
 class TestKnotVectorValidation:
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector.from_knots([0.0, 1.0, 0.5], degree=0)
+            KnotVector(np.array([0.0, 1.0, 0.5]), 0, (0.0, 0.5))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector.from_knots([0.0, 1.0], degree=-1)
+            KnotVector(np.array([0.0, 1.0]), -1, (0.0, 1.0))
 
     def test_too_few_knots_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector.from_knots([0.0, 1.0], degree=1)
+            KnotVector(np.array([0.0, 1.0]), 1, (0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
