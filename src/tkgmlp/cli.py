@@ -287,8 +287,9 @@ def cmd_encode(args) -> int:
     to ``--out``. Rows are encoded and written one
     ``data.rows_per_block`` block at a time, so the encoded table never
     exists whole; ``EncoderSpec.transform`` works row by row, so the blocks
-    give the rows one whole transform would. ``--out`` appears only once
-    every block is written."""
+    give the rows one whole transform would, and an encoder error names the
+    row of the whole file. ``--out`` appears only once every block is
+    written."""
     cfg = _run_config(args)
     fit_path = args.train or args.data
     fit_ds = data_mod.load_csv(fit_path, label=args.label)
@@ -300,7 +301,7 @@ def cmd_encode(args) -> int:
     with data_mod.csv_block_writer(args.out, names, label=args.label) as write:
         # One block even with no rows, so that transform checks the columns.
         for lo in range(0, max(apply_ds.n_rows, 1), step):
-            write(encoder.transform(features[lo:lo + step]), apply_ds.labels[lo:lo + step])
+            write(encoder.transform(features[lo:lo + step], row_offset=lo), apply_ds.labels[lo:lo + step])
     log.info("wrote %s (%d rows, %d columns)", args.out, apply_ds.n_rows, len(names))
     print(f"encoded_rows={apply_ds.n_rows}")
     print(f"encoded_columns={len(names)}")

@@ -44,7 +44,7 @@ class BinSpec:
         object.__setattr__(self, "boundaries", b)
         if b.ndim != 1 or b.size < 2:
             raise ValueError("need at least 2 boundaries")
-        if np.any(np.diff(b) <= 0.0):
+        if np.any(b[1:] <= b[:-1]):
             raise ValueError("boundaries must be strictly increasing")
 
     @property
@@ -57,7 +57,9 @@ def fit_bins(train_values, n_bins: int) -> BinSpec:
 
     Quantiles use linear interpolation between order statistics; b_0 and b_n
     are the observed min/max. Merging duplicate boundaries reduces the
-    effective bin count on tie-heavy features.
+    effective bin count on tie-heavy features. When max - min overflows, the
+    quantiles are taken of the halved values and doubled, which is exact at
+    that magnitude.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -66,7 +68,12 @@ def fit_bins(train_values, n_bins: int) -> BinSpec:
     if values.size < 2 or np.all(values == values[0]):
         raise DegenerateFeatureError("need at least 2 distinct finite values")
     qs = np.arange(n_bins + 1) / n_bins
-    boundaries = np.quantile(values, qs, method="linear")
+    with np.errstate(over="ignore"):
+        wide = np.isinf(values.max() - values.min())
+    if wide:
+        boundaries = 2.0 * np.quantile(0.5 * values, qs, method="linear")
+    else:
+        boundaries = np.quantile(values, qs, method="linear")
     boundaries[0] = values.min()
     boundaries[-1] = values.max()
     return BinSpec(np.unique(boundaries))
@@ -77,6 +84,29 @@ def _bin_index(x: np.ndarray, spec: BinSpec) -> np.ndarray:
     return np.clip(np.searchsorted(b, x, side="right") - 1, 0, spec.n - 1)
 
 
+def _bin_fraction(x, lo, hi):
+    """(x - lo) / (hi - lo) with x first clipped into its bin [lo, hi].
+
+    Every quotient then lies in [0, 1], so a point outside its bin is never
+    divided and a subnormal width cannot overflow the quotient. Where the
+    width itself overflows (bounds of opposite sign beyond about 9e307 in
+    magnitude), all three values are halved first, which leaves the quotient
+    as it is. Inside a bin of finite width the bits are those of the plain
+    formula."""
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = np.isinf(width)
+    if wide.any():
+        half = np.where(wide, 0.5, 1.0)
+        x, lo, hi = x * half, lo * half, hi * half
+        width = hi - lo
+    out = np.maximum(x, lo)
+    np.minimum(out, hi, out=out)
+    out -= lo
+    out /= width
+    return out
+
+
 def qle_encode(x, spec: BinSpec):
     """Quantile linear encoding into [0, 1]; clamps outside the fitted range."""
     x = np.asarray(x, dtype=np.float64)
@@ -85,8 +115,7 @@ def qle_encode(x, spec: BinSpec):
     b = spec.boundaries
     n = spec.n
     i = _bin_index(x, spec)
-    frac = (x - b[i]) / (b[i + 1] - b[i])
-    out = np.clip(i / n + frac / n, 0.0, 1.0)
+    out = np.clip(i / n + _bin_fraction(x, b[i], b[i + 1]) / n, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -105,8 +134,7 @@ def ple_encode(x, spec: BinSpec) -> np.ndarray:
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     b = spec.boundaries
-    comp = (x[..., None] - b[:-1]) / np.diff(b)
-    out = np.clip(comp, 0.0, 1.0)
+    out = _bin_fraction(x[..., None], b[:-1], b[1:])
     return out[0] if scalar else out
 
 
@@ -258,20 +286,33 @@ class EncoderSpec:
     def output_dim(self) -> int:
         return len(self.output_names)
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def transform(self, features: np.ndarray, row_offset: int = 0) -> np.ndarray:
+        """Encoded rows, one output row per input row.
+
+        A CLR component that is not positive after its shift raises
+        DomainError, and a non-finite output raises ValueError. Either names
+        the first bad input cell in row-major order: its column, its value
+        and its row, counted as ``data.load_csv`` counts rows (the header is
+        row 1) when ``features[0]`` follows ``row_offset`` data rows.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {features.shape[1]}"
             )
         blocks: list[np.ndarray] = []
+        sources: list[int] = []  # input column of each output column
         numeric = self.numeric_columns
         if self.kind == "clr":
             cols = np.stack([self._imputed_column(features, j) for j in numeric], axis=1)
             shifted = cols + self.clr_shifts[numeric]
-            if np.any(shifted <= 0.0):
-                raise DomainError("non-positive component after CLR shift")
+            bad = shifted <= 0.0
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                raise DomainError(f"{self._cell(features, i, numeric[k], row_offset)} is not positive "
+                                  f"after the CLR shift {float(self.clr_shifts[numeric[k]])!r}")
             blocks.append(clr_encode(shifted))
+            sources.extend(numeric)
         else:
             for j in numeric:
                 col = self._imputed_column(features, j)
@@ -285,12 +326,20 @@ class EncoderSpec:
                     blocks.append(quantile_encode(col, self.bins[j])[:, None])
                 elif self.kind == "ple":
                     blocks.append(ple_encode(col, self.bins[j]))
+                sources.extend([j] * blocks[-1].shape[1])
         for j in sorted(self.categorical):
             blocks.append(one_hot_encode(self._imputed_column(features, j), self.categorical[j]))
+            sources.extend([j] * blocks[-1].shape[1])
         out = np.concatenate(blocks, axis=1) if blocks else np.zeros((features.shape[0], 0))
         if not np.all(np.isfinite(out)):
-            raise ValueError("encoder produced non-finite output")
+            rows, cols = np.nonzero(~np.isfinite(out))
+            i = rows[0]
+            j = min(sources[c] for c in cols[rows == i])
+            raise ValueError(f"encoder produced non-finite output from {self._cell(features, i, j, row_offset)}")
         return out
+
+    def _cell(self, features: np.ndarray, i: int, j: int, row_offset: int) -> str:
+        return f"row {row_offset + i + 2}, column {self.feature_names[j]!r}, value {float(features[i, j])!r}"
 
     def to_dict(self) -> dict:
         return {

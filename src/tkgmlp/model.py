@@ -17,7 +17,12 @@ import numpy as np
 from . import gmlp, kan, nn_core
 from .config import ConfigError, require_int, require_number, require_range
 
-PREDICT_BLOCK_ROWS = 65_536  # rows per inference forward in predict
+# Rows per inference forward in predict (timings in its docstring). At 1,024
+# rows the h=64 KAN basis of a block (1,024 x 32 x 8 float64) is 2 MiB and
+# each hidden array 0.5 MB, so the elementwise passes over them stay in a
+# core's L2 cache; at 65,536 rows they were 134 MB and 34 MB and streamed
+# from DRAM. Peak memory is set by one block, not by the number of rows.
+PREDICT_BLOCK_ROWS = 1_024
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,20 @@ class TkgmlpModel(nn_core.ParameterHolder):
         return scores, cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference scores, computed ``PREDICT_BLOCK_ROWS`` rows at a time so
-        that memory stays bounded as the number of rows grows."""
+        """Inference scores, computed ``PREDICT_BLOCK_ROWS`` rows at a time.
+
+        Each row's inference is independent of the others, so the blocks give
+        the bits one whole forward would, while the working set stays cache
+        sized and the peak stays flat as the number of rows grows.
+
+        Measured on a 2-core Xeon host (2 MiB L2 per core, numpy 2.4.6,
+        OpenBLAS, one BLAS thread), seconds per call for blocks of 65,536 /
+        4,096 / 1,024 / 512 rows: 0.265 / 0.208 / 0.168 / 0.164 on 20,000
+        rows at h=64; 0.964 / 0.922 / 0.800 / 0.840 on 8,192 rows at h=512;
+        and 5.07 / 5.76 / 4.96 / 4.98 on 4,096 rows at h=1024 with 2 KAN
+        layers and grid 10, flat within noise. At h=64 the tracemalloc peak on
+        20,000 / 50,000 / 200,000 rows is 4.1 / 4.3 / 5.5 MB in 1,024-row
+        blocks, against 76.6 / 191.5 / 252.1 MB in 65,536-row blocks."""
         scores = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
             hi = lo + PREDICT_BLOCK_ROWS

@@ -311,16 +311,41 @@ class TestEncode:
         monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 3 * (train.features.shape[1] + 1))
         seen = []
         transform = EncoderSpec.transform
-        monkeypatch.setattr(EncoderSpec, "transform", lambda spec, x: seen.append(len(x)) or transform(spec, x))
+        monkeypatch.setattr(EncoderSpec, "transform", lambda spec, x, **kw: seen.append(len(x)) or transform(spec, x, **kw))
         out_dir = tmp_path / "encoded"
         out_dir.mkdir()
         code = run_cli("encode", "--config", cfg, "--set", "encoder.kind=clr",
                        "--train", tmp_path / "data" / "train.csv", "--data", tmp_path / "apply.csv",
                        "--out", out_dir / "out.csv")
         assert code == 2
-        assert "DomainError" in capsys.readouterr().err
+        # the row is the file's, not the block's (row 1 of the fourth block)
+        assert (f"DomainError: row 11, column {train.feature_names[0]!r}, value -1000000000.0 is not positive"
+                in capsys.readouterr().err)
         assert seen == [3, 3, 3, 1]
         assert list(out_dir.iterdir()) == []
+
+    def test_non_finite_output_names_the_file_row(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        train = tmp_path / "train.csv"
+        write_csv(train, Dataset(rng.normal(size=(20, 2)) * 1e-150, (np.arange(20) % 2).astype(float), ["a", "b"]))
+        apply_x = rng.normal(size=(10, 2)) * 1e-150
+        apply_x[8, 1] = 1e300  # overflows the standardization
+        write_csv(tmp_path / "apply.csv", Dataset(apply_x, np.zeros(10), ["a", "b"]))
+        monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 3 * 3)  # blocks of 3 rows
+        cfg = write_config(tmp_path, encoder={"kind": "standardize"})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli("encode", "--config", cfg, "--train", train, "--data", tmp_path / "apply.csv",
+                           "--out", tmp_path / "out.csv")
+        assert code == 2
+        assert "non-finite output from row 10, column 'b', value 1e+300" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_qle_across_the_float_range(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("a,label\n-1e308,0\n0.0,1\n1e308,0\n5e307,1\n")
+        cfg = write_config(tmp_path, encoder={"kind": "qle", "n_bins": 1})
+        assert run_cli("encode", "--config", cfg, "--data", src, "--out", tmp_path / "out.csv") == 0
+        assert load_csv(tmp_path / "out.csv").features[:, 0].tolist() == [0.0, 0.5, 1.0, 0.75]
 
     def test_memory_stays_below_the_encoded_table(self, tmp_path):
         rows = 8_000

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tkgmlp.data import SyntheticColumnSpec
@@ -96,6 +98,45 @@ class TestPle:
         assert ple_encode(1.0, FIXTURE).shape == (3,)
 
 
+class TestFloatRangeEdges:
+    """Bins wider than the float range, and bins of subnormal width. No point
+    outside its bin is divided, so no numpy warning may fire."""
+
+    WIDE = BinSpec(np.array([-1e308, 1e308]))  # width 2e308 overflows
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_qle_across_a_bin_wider_than_the_floats(self):
+        assert [qle_encode(x, self.WIDE) for x in (-1e308, 0.0, 5e307, 1e308)] == [0.0, 0.5, 0.75, 1.0]
+
+    def test_ple_across_a_bin_wider_than_the_floats(self):
+        out = ple_encode(np.array([-1e308, 0.0, 5e307, 1e308]), self.WIDE)
+        assert out[:, 0].tolist() == [0.0, 0.5, 0.75, 1.0]
+
+    def test_far_points_beside_narrower_bins(self):
+        # every width is finite, but x - b_i overflows for the far bins
+        spec = BinSpec(np.array([-1e308, -9e307, 0.0, 1e308]))
+        assert ple_encode(1e308, spec).tolist() == [1.0, 1.0, 1.0]
+        assert ple_encode(-1e308, spec).tolist() == [0.0, 0.0, 0.0]
+        assert qle_encode(1e308, spec) == 1.0
+
+    def test_subnormal_bin_width(self):
+        tiny = 1.1125369292536007e-308
+        spec = BinSpec(np.array([0.0, tiny, 1.0, 2.0]))
+        assert ple_encode(2.0, spec).tolist() == [1.0, 1.0, 1.0]
+        assert ple_encode(tiny / 2, spec).tolist() == [0.5, 0.0, 0.0]
+        assert qle_encode(5.0, spec) == 1.0
+        assert qle_encode(tiny / 2, spec) == 0.5 / 3
+
+    def test_fit_bins_over_a_range_wider_than_the_floats(self):
+        spec = fit_bins(np.array([-1e308, 1e308]), 4)
+        assert spec.boundaries.tolist() == (np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * 1e308).tolist()
+
+
 class TestQuantile:
     def test_fixture_bin_index(self):
         assert quantile_encode(1.5, FIXTURE) == pytest.approx(1.0 / 3.0)
@@ -163,6 +204,7 @@ class TestBaselines:
     n_bins=st.integers(min_value=1, max_value=16),
     x=st.floats(min_value=-2e6, max_value=2e6, allow_nan=False),
 )
+@example(data=[0.0, 1.0, 2.0, 3.0, 1.1125369292536007e-308], n_bins=4, x=2.0)  # subnormal bin width
 def test_qle_properties(data, n_bins, x):
     spec = fit_bins(np.array(data), n_bins)
     v = qle_encode(x, spec)
@@ -282,9 +324,22 @@ class TestEncoderSpec:
         x = np.abs(self.make_features()) + 0.5
         spec = EncoderSpec.fit(x, kind="clr")
         bad = x.copy()
-        bad[0, 0] = -100.0
-        with pytest.raises(DomainError):
+        bad[[3, 4], [1, 0]] = -100.0
+        # the first bad cell in row-major order, rows counted as in the CSV
+        with pytest.raises(DomainError, match=r"^row 5, column 'x1', value -100.0 is not positive after the CLR shift 0.0$"):
             spec.transform(bad)
+        with pytest.raises(DomainError, match=r"^row 15, column 'x1', value -100.0 "):
+            spec.transform(bad, row_offset=10)
+
+    def test_non_finite_output_names_the_cell(self):
+        x = self.make_features()
+        x[:, :2] *= 1e-150  # standard deviations near 1e-150
+        spec = EncoderSpec.fit(x, kind="standardize", categorical_columns=[2])
+        bad = x.copy()
+        bad[[7, 8], [1, 0]] = 1e300
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"non-finite output from row 9, column 'x1', value 1e\+300$"):
+                spec.transform(bad)
 
     def test_ple_width_accounting(self):
         x = self.make_features()

@@ -91,6 +91,25 @@ class TestReport:
         best = max(tpr - fpr for _, tpr, fpr in report.roc)
         assert abs(report.ks - best) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["random", "tie-heavy", "tied-within-each-class"])
+    def test_equals_the_separate_metrics(self, kind):
+        # one sort for all three gives the values of the three separate calls
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            if kind == "random":
+                scores = rng.random(n)
+            elif kind == "tie-heavy":
+                scores = np.round(rng.random(n), 1)
+            else:  # one score per class, equal across classes at times
+                scores = np.where(labels == 1, *rng.choice([0.25, 0.75], 2))
+            report = compute_metrics(scores, labels)
+            assert report.ks == ks(scores, labels)
+            assert report.auc == auc(scores, labels)
+            assert report.roc == tuple([(np.inf, 0.0, 0.0)] + roc_sweep(scores, labels))
+
     def test_percent_formatting(self):
         assert format_percent(0.7608) == "76.08"
         assert format_percent(1.0) == "100.00"

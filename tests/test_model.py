@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,22 @@ class TestBackward:
         whole, _ = m.forward(x, train=False)
         monkeypatch.setattr(model_mod, "PREDICT_BLOCK_ROWS", 10)  # blocks of 10, 10 and 5 rows
         assert np.array_equal(m.predict(x), whole)
+
+    def test_predict_peak_memory_flat_in_rows(self):
+        # 2 and 16 blocks of 1,024 rows: only the scores grow with the rows
+        m = build_model(tiny_config(input_dim=8, hidden_dim=32, kan_layers=2, gmlp_layers=2), seed=0)
+        rng = np.random.default_rng(2)
+
+        def peak(rows):
+            x = rng.normal(size=(rows, 8))
+            tracemalloc.start()
+            try:
+                m.predict(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * 1_024) <= 1.5 * peak(2 * 1_024)
 
     def test_inference_cache_rejected(self):
         m = build_model(tiny_config(), seed=0)
