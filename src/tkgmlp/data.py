@@ -303,16 +303,18 @@ def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) ->
     codes[:, :d][one] = _ONE_CELL
     if holes is not None:
         codes[:, :d][holes] = _SPLICED_CELL
-    spliced = (codes == _SPLICED_CELL) | (codes == _SPLICED_LABEL)
-    texts = np.empty((n, d + 1), dtype=object)
-    other = spliced[:, :d] if holes is None else spliced[:, :d] & ~holes
-    texts[:, :d][other] = _repr(x[other])
+    # The text of each spliced cell, in row-major order; one per row is the label.
+    rows, cols = np.nonzero((codes == _SPLICED_CELL) | (codes == _SPLICED_LABEL))
+    texts = np.empty(rows.size, dtype=object)
+    label = cols == d
+    texts[label] = ["1\r" if y else "0\r" for y in labels.tolist()]
+    cell = np.flatnonzero(~label)
+    texts[cell] = _repr(x[rows[cell], cols[cell]])
     if holes is not None:
-        texts[:, :d][holes] = ""
-    texts[:, d] = ["1\r" if y else "0\r" for y in labels.tolist()]
-    pieces = [""] * (2 * np.count_nonzero(spliced) + 1)
+        texts[cell[holes[rows[cell], cols[cell]]]] = ""
+    pieces = [""] * (2 * rows.size + 1)
     pieces[0::2] = codes.tobytes().decode("ascii").split("\0\0\0")
-    pieces[1::2] = texts[spliced].tolist()
+    pieces[1::2] = texts.tolist()
     return "".join(pieces)
 
 

@@ -13,16 +13,43 @@ and the plain standardize / one-hot baselines. Out-of-range inputs clamp
 
 Fitting always happens on training data only; `EncoderSpec` carries every
 fitted statistic so test-time encoding is reproducible bit for bit.
+
+PLE and the equal-frequency bins follow Gorishniy et al. (arXiv:2203.05556).
+Credit tables run to tens of millions of rows, so the work per cell is kept
+small:
+- `EncoderSpec.fit` copies each column once and sorts it once. The median
+  and the bin quantiles are read from the sorted copy, with the same bits
+  as `np.median` and `np.quantile` on the column.
+- `EncoderSpec.transform` writes every kind straight into one output array,
+  `TRANSFORM_BLOCK_ROWS` (4,096) rows at a time, so its temporaries stay
+  cache sized and its peak is the output plus one block. On 200,000 x 32
+  rows at 64 QLE bins it took 0.35 s, against about 1.0 s when whole columns
+  were encoded one by one and concatenated.
+- A bin index is an exact search: a uniform grid of `GRID_CELLS_PER_BIN`
+  cells a bin gives each key the count of boundaries below its cell, and a
+  branchless binary search counts the rest (`_bin_index`). It equals
+  `searchsorted` for every key, and took 0.08 s where `searchsorted` took
+  0.46 s on the same 32 columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 ENCODER_KINDS = ("qle", "ple", "quantile", "clr", "standardize")
 DEFAULT_N_BINS = 64
+
+# Rows per block of EncoderSpec.transform; its docstring gives the sizing.
+TRANSFORM_BLOCK_ROWS = 4_096
+
+# Lookup grid cells per bin (see _BinGrid); _bin_index gives the sizing.
+GRID_CELLS_PER_BIN = 16
+
+# Columns that EncoderSpec.fit gathers together (see _columns).
+FIT_COLUMN_GROUP = 8
 
 
 class DegenerateFeatureError(ValueError):
@@ -31,6 +58,42 @@ class DegenerateFeatureError(ValueError):
 
 class DomainError(ValueError):
     """Input outside the operator's domain (CLR needs positive components)."""
+
+
+@dataclass(frozen=True)
+class _BinGrid:
+    """Lookup grid over the interior boundaries b_1 < ... < b_{n-1} of a BinSpec.
+
+    A key x falls in cell ``_grid_cells``: (x - b_1) * scale, clipped to
+    [0, top] and truncated; NaN falls in the top cell. Where b_{n-1} - b_1
+    overflows, x and b_1 are halved before the difference. The map is
+    monotone, so every interior boundary in an earlier cell than x's is <= x
+    and every one in a later cell is > x. The scale takes b_{n-1} to
+    top - 1 at most, so the top cell holds no boundary. ``start[c]`` counts
+    the boundaries in the cells before c. ``probes`` holds, for
+    step = 2^(m-1), ..., 2, 1, the boundaries from index step - 1 on, padded
+    with NaN, which no key reaches; 2^m - 1 is at least the most boundaries
+    one cell holds."""
+
+    halve: bool
+    origin: float
+    scale: float
+    top: int
+    start: np.ndarray
+    probes: tuple
+
+
+def _grid_cells(x: np.ndarray, halve: bool, origin: float, scale: float, top: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        if halve:
+            t = np.multiply(x, 0.5)
+            t -= origin
+        else:
+            t = np.subtract(x, origin)
+        t *= scale
+    np.fmin(t, top, out=t)  # NaN goes to the top cell
+    np.fmax(t, 0.0, out=t)
+    return t.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -51,6 +114,31 @@ class BinSpec:
     def n(self) -> int:
         return self.boundaries.size - 1
 
+    @cached_property
+    def _grid(self) -> _BinGrid | None:
+        """The lookup grid of ``_bin_index``; None for a single bin. Derived
+        from the boundaries, never serialized."""
+        inner = self.boundaries[1:-1]
+        if inner.size == 0:
+            return None
+        top = GRID_CELLS_PER_BIN * self.n
+        lo, hi = inner[0], inner[-1]
+        with np.errstate(over="ignore", divide="ignore"):
+            halve = bool(np.isinf(hi - lo))
+            origin = 0.5 * lo if halve else lo
+            span = 0.5 * hi - origin if halve else hi - lo
+            # Any positive finite scale keeps the search exact; a zero or
+            # subnormal span gets the largest.
+            scale = min((top - 1) / span, np.finfo(np.float64).max)
+        cells = _grid_cells(inner, halve, origin, scale, top)
+        counts = np.bincount(cells, minlength=top + 1)
+        start = np.zeros(top + 1, dtype=np.intp)
+        np.cumsum(counts[:-1], out=start[1:])
+        steps = int(counts.max()).bit_length()
+        padded = np.concatenate([inner, np.full(1 << steps, np.nan)])
+        probes = tuple((1 << k, padded[(1 << k) - 1:]) for k in reversed(range(steps)))
+        return _BinGrid(halve=halve, origin=origin, scale=scale, top=top, start=start, probes=probes)
+
 
 def fit_bins(train_values, n_bins: int) -> BinSpec:
     """Equal-frequency boundaries at quantiles k/n_bins, duplicates merged.
@@ -61,27 +149,81 @@ def fit_bins(train_values, n_bins: int) -> BinSpec:
     quantiles are taken of the halved values and doubled, which is exact at
     that magnitude.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
     values = np.asarray(train_values, dtype=np.float64)
     values = values[np.isfinite(values)]
-    if values.size < 2 or np.all(values == values[0]):
+    return _fit_sorted_bins(values, np.sort(values), n_bins)
+
+
+def _fit_sorted_bins(values: np.ndarray, srt: np.ndarray, n_bins: int) -> BinSpec:
+    """``fit_bins`` of the finite ``values``, given ``srt``, their sorted copy.
+
+    ``np.quantile`` only reads order statistics, so on the sorted copy it
+    gives the bits it gives on the values, in far less time. The one
+    exception is a negative zero: a sort may put either zero first, so then
+    the quantiles are taken of the values as they are."""
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1")
+    if srt.size < 2 or srt[0] == srt[-1]:
         raise DegenerateFeatureError("need at least 2 distinct finite values")
+    if _has_negative_zero(srt):
+        srt = values
     qs = np.arange(n_bins + 1) / n_bins
+    lo, hi = values.min(), values.max()
     with np.errstate(over="ignore"):
-        wide = np.isinf(values.max() - values.min())
+        wide = np.isinf(hi - lo)
     if wide:
-        boundaries = 2.0 * np.quantile(0.5 * values, qs, method="linear")
+        boundaries = 2.0 * np.quantile(0.5 * srt, qs, method="linear")
     else:
-        boundaries = np.quantile(values, qs, method="linear")
-    boundaries[0] = values.min()
-    boundaries[-1] = values.max()
+        boundaries = np.quantile(srt, qs, method="linear")
+    boundaries[0] = lo
+    boundaries[-1] = hi
     return BinSpec(np.unique(boundaries))
 
 
+def _has_negative_zero(srt: np.ndarray) -> bool:
+    zeros = srt[np.searchsorted(srt, 0.0, "left"):np.searchsorted(srt, 0.0, "right")]
+    return bool(np.signbit(zeros).any())
+
+
+def _sorted_median(srt: np.ndarray, values: np.ndarray) -> float:
+    """``np.median(values)`` given ``srt``, their sorted copy: the mean of the
+    middle one or two order statistics, as ``np.median`` takes it; 0.0 when
+    there are none. With a negative zero present, ``np.median`` itself."""
+    m = srt.size
+    if m == 0:
+        return 0.0
+    if _has_negative_zero(srt):
+        return float(np.median(values))
+    return float(np.mean(srt[(m - 1) // 2:m // 2 + 1]))
+
+
 def _bin_index(x: np.ndarray, spec: BinSpec) -> np.ndarray:
-    b = spec.boundaries
-    return np.clip(np.searchsorted(b, x, side="right") - 1, 0, spec.n - 1)
+    """``clip(searchsorted(b, x, "right") - 1, 0, n - 1)`` for every x, NaN
+    and +-inf included: the number of interior boundaries b_1..b_{n-1} that
+    are <= x (all of them for NaN).
+
+    The key's grid cell gives the count below it (``_BinGrid``). A branchless
+    binary search over the boundaries from there, m halving steps that each
+    add ``step`` where the probed boundary is not greater than x, counts the
+    rest. Each step is one vectorized pass, so the cost per key does not
+    depend on how its neighbours are ordered, as ``searchsorted`` on unsorted
+    keys does. A heavy-tailed column can crowd every boundary into one cell;
+    the search then takes log2(n) steps and stays exact.
+
+    Sizing: the 32 desk-tiny columns of 200,000 rows at 64 bins, in 4,096-row
+    blocks (2-core Xeon, numpy 2.4.6), median of 5 runs. ``searchsorted``
+    took 0.455 s. The branchless search in a single cell (5-6 steps) took
+    0.221 s. A grid of 1 / 2 / 4 / 8 / 16 cells a bin took 0.126 / 0.094 /
+    0.091 / 0.087 / 0.076 s, with at most 3 / 2 / 2 / 2 / 1 steps.
+    """
+    grid = spec._grid
+    if grid is None:
+        return np.zeros(np.shape(x), dtype=np.intp)
+    r = grid.start[_grid_cells(x, grid.halve, grid.origin, grid.scale, grid.top)]
+    for step, probe in grid.probes:
+        hit = probe[r] <= x
+        r += hit if step == 1 else hit * step
+    return r
 
 
 def _bin_fraction(x, lo, hi):
@@ -107,15 +249,46 @@ def _bin_fraction(x, lo, hi):
     return out
 
 
+def _qle_into(x: np.ndarray, spec: BinSpec, out: np.ndarray) -> np.ndarray:
+    b = spec.boundaries
+    i = _bin_index(x, spec)
+    frac = _bin_fraction(x, b[i], b[1:][i])
+    frac /= spec.n
+    frac += i / spec.n  # i/n + frac/n: IEEE addition commutes
+    return np.clip(frac, 0.0, 1.0, out=out)
+
+
+@lru_cache(maxsize=None)
+def _staircase(n: int) -> np.ndarray:
+    """Row i holds the PLE components of bins below bin i (1.0) and from bin
+    i on (0.0), before bin i's own fraction is written. One read-only table
+    per bin count, shared by every column, so a block's columns read one."""
+    table = np.tri(n, k=-1)
+    table.flags.writeable = False
+    return table
+
+
+def _ple_into(x: np.ndarray, spec: BinSpec, out: np.ndarray) -> np.ndarray:
+    """PLE of the 1-D ``x`` into ``out`` (rows, n) by bin index: 1.0 below
+    x's bin, 0.0 above it and the fraction in it. These are the bits of the
+    per-bin formula, whose quotient is exactly 1.0 or 0.0 outside x's bin; a
+    NaN key gives a NaN row, as the formula does."""
+    b = spec.boundaries
+    i = _bin_index(x, spec)
+    out[...] = _staircase(spec.n)[i]
+    out[np.arange(x.size), i] = _bin_fraction(x, b[i], b[1:][i])
+    nan = np.isnan(x)
+    if nan.any():
+        out[nan] = np.nan
+    return out
+
+
 def qle_encode(x, spec: BinSpec):
     """Quantile linear encoding into [0, 1]; clamps outside the fitted range."""
     x = np.asarray(x, dtype=np.float64)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    b = spec.boundaries
-    n = spec.n
-    i = _bin_index(x, spec)
-    out = np.clip(i / n + _bin_fraction(x, b[i], b[i + 1]) / n, 0.0, 1.0)
+    out = _qle_into(x, spec, np.empty(x.shape))
     return float(out[0]) if scalar else out
 
 
@@ -131,11 +304,9 @@ def quantile_encode(x, spec: BinSpec):
 def ple_encode(x, spec: BinSpec) -> np.ndarray:
     """Per-bin saturating linear components, shape (..., n)."""
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    b = spec.boundaries
-    out = _bin_fraction(x[..., None], b[:-1], b[1:])
-    return out[0] if scalar else out
+    out = np.empty(x.shape + (spec.n,))
+    _ple_into(x.ravel(), spec, out.reshape(-1, spec.n))
+    return out
 
 
 def clr_encode(row) -> np.ndarray:
@@ -153,17 +324,50 @@ class StandardizeSpec:
     std: float  # 0 means degenerate: feature passes through as zeros
 
 
+# Beyond these magnitudes fit_standardize fits in a frame scaled by a power
+# of two: a sum of squared deviations of values below 2**400 cannot overflow,
+# nor can squared deviations among values above 2**-400 underflow, at any
+# realistic row count.
+_STANDARDIZE_FRAME = (2.0**-400, 2.0**400)
+
+
 def fit_standardize(train_values) -> StandardizeSpec:
+    """Mean and population std of the finite values.
+
+    A column whose largest magnitude lies outside ``_STANDARDIZE_FRAME`` is
+    scaled by a power of two that brings it near 1 and the results scaled
+    back. Near 1e-300 the variance would underflow to a std of 0.0, and near
+    1e308 the sum would overflow. Scaling by a power of two is exact, and
+    every other column is fitted as it is, so its bits are the plain ones."""
     values = np.asarray(train_values, dtype=np.float64)
     values = values[np.isfinite(values)]
-    return StandardizeSpec(mean=float(values.mean()), std=float(values.std()))
+    top = float(np.abs(values).max()) if values.size else 0.0
+    shift = 0
+    if top > 0.0 and not _STANDARDIZE_FRAME[0] <= top <= _STANDARDIZE_FRAME[1]:
+        shift = int(np.frexp(top)[1])
+        values = np.ldexp(values, -shift)
+    return StandardizeSpec(mean=float(np.ldexp(values.mean(), shift)),
+                           std=float(np.ldexp(values.std(), shift)))
 
 
-def standardize(x, spec: StandardizeSpec):
+def standardize(x, spec: StandardizeSpec, out=None):
+    """(x - mean) / std; zeros for a constant column. Where x - mean
+    overflows, x, the mean and the std are halved first, which leaves the
+    quotient as it is; everywhere else the bits are the plain formula's."""
     x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(x)
     if spec.std == 0.0:
-        return np.zeros_like(x)
-    return (x - spec.mean) / spec.std
+        out[...] = 0.0
+        return out
+    with np.errstate(over="ignore"):
+        np.subtract(x, spec.mean, out=out)
+    far = np.isinf(out)
+    np.divide(out, spec.std, out=out)
+    if far.any():
+        far &= np.isfinite(x)
+        out[far] = (0.5 * x[far] - 0.5 * spec.mean) / (0.5 * spec.std)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,14 +385,31 @@ def fit_one_hot(train_values) -> OneHotSpec:
     return OneHotSpec(categories=np.unique(np.asarray(train_values, dtype=np.float64)))
 
 
-def one_hot_encode(x, spec: OneHotSpec) -> np.ndarray:
+def one_hot_encode(x, spec: OneHotSpec, out=None) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.zeros((x.size, spec.width))
+    if out is None:
+        out = np.empty((x.size, spec.width))
+    out[...] = 0.0
     idx = np.searchsorted(spec.categories, x)
     idx = np.clip(idx, 0, spec.categories.size - 1)
     known = spec.categories[idx] == x
     out[np.arange(x.size), np.where(known, idx, spec.categories.size)] = 1.0
     return out
+
+
+def _columns(features: np.ndarray):
+    """Yield each column of ``features`` as a contiguous copy.
+
+    The columns are gathered ``FIT_COLUMN_GROUP`` at a time, row block by row
+    block, so that each cache line of a C-ordered table is read once per
+    group instead of once per column. On 200,000 x 32 rows this took 48 ms,
+    against 158 ms for 32 strided ``features[:, j]`` copies."""
+    n_rows, n_cols = features.shape
+    for g in range(0, n_cols, FIT_COLUMN_GROUP):
+        group = np.empty((min(FIT_COLUMN_GROUP, n_cols - g), n_rows))
+        for lo in range(0, n_rows, TRANSFORM_BLOCK_ROWS):
+            group[:, lo:lo + TRANSFORM_BLOCK_ROWS] = features[lo:lo + TRANSFORM_BLOCK_ROWS, g:g + FIT_COLUMN_GROUP].T
+        yield from group
 
 
 @dataclass
@@ -220,6 +441,12 @@ class EncoderSpec:
         n_bins: int = DEFAULT_N_BINS,
         categorical_columns=(),
     ) -> "EncoderSpec":
+        """Fit every column from one contiguous copy of it and one sort.
+
+        The median and the bin quantiles are order statistics, taken from the
+        sorted finite values, into which the median's imputed copies are
+        merged; they are the bits ``np.median`` and ``np.quantile`` give on
+        the column."""
         if kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {kind!r}, expected one of {ENCODER_KINDS}")
         features = np.asarray(features, dtype=np.float64)
@@ -229,114 +456,137 @@ class EncoderSpec:
         medians = np.zeros(n_cols)
         spec = cls(kind=kind, n_bins=n_bins, feature_names=list(feature_names), medians=medians)
         cat = set(categorical_columns)
-        numeric = [j for j in range(n_cols) if j not in cat]
-        for j in range(n_cols):
-            col = features[:, j]
-            finite = col[np.isfinite(col)]
-            medians[j] = float(np.median(finite)) if finite.size else 0.0
-        for j in sorted(cat):
-            col = spec._imputed_column(features, j)
-            spec.categorical[j] = fit_one_hot(col)
         if kind == "clr":
-            shifts = np.zeros(n_cols)
-            for j in numeric:
-                col = spec._imputed_column(features, j)
+            spec.clr_shifts = np.zeros(n_cols)
+        for j, col in enumerate(_columns(features)):
+            finite = np.isfinite(col)
+            missing = not finite.all()
+            values = col[finite] if missing else col
+            srt = np.sort(values)
+            medians[j] = _sorted_median(srt, values)
+            if missing:
+                col[~finite] = medians[j]
+                at = np.searchsorted(srt, medians[j])
+                srt = np.insert(srt, at, np.full(col.size - srt.size, medians[j]))
+            if j in cat:
+                spec.categorical[j] = fit_one_hot(col)
+            elif kind == "clr":
                 low = col.min()
                 if low <= 0.0:
-                    shifts[j] = 1.0 - low
-            spec.clr_shifts = shifts
-        elif kind == "standardize":
-            for j in numeric:
-                spec.standardizers[j] = fit_standardize(spec._imputed_column(features, j))
-        else:
-            for j in numeric:
-                col = spec._imputed_column(features, j)
+                    spec.clr_shifts[j] = 1.0 - low
+            elif kind == "standardize":
+                spec.standardizers[j] = fit_standardize(col)
+            else:
                 try:
-                    spec.bins[j] = fit_bins(col, n_bins)
+                    spec.bins[j] = _fit_sorted_bins(col, srt, n_bins)
                 except DegenerateFeatureError:
                     spec.degenerate.add(j)
         return spec
-
-    def _imputed_column(self, features: np.ndarray, j: int) -> np.ndarray:
-        col = np.array(features[:, j], dtype=np.float64)
-        bad = ~np.isfinite(col)
-        if bad.any():
-            col[bad] = self.medians[j]
-        return col
 
     @property
     def numeric_columns(self) -> list[int]:
         return [j for j in range(len(self.feature_names)) if j not in self.categorical]
 
+    def _output_widths(self) -> list[tuple[int, int]]:
+        """(input column, output width) for each encoded block, in output order."""
+        widths = [(j, self.bins[j].n if self.kind == "ple" and j in self.bins else 1)
+                  for j in self.numeric_columns]
+        return widths + [(j, self.categorical[j].width) for j in sorted(self.categorical)]
+
     @property
     def output_names(self) -> list[str]:
         names: list[str] = []
-        for j in self.numeric_columns:
+        for j, width in self._output_widths():
             base = self.feature_names[j]
-            if self.kind == "ple" and j in self.bins:
-                names.extend(f"{base}_ple{k}" for k in range(self.bins[j].n))
+            if j in self.categorical:
+                names.extend(f"{base}_cat{k}" for k in range(width))
+            elif self.kind == "ple" and j in self.bins:
+                names.extend(f"{base}_ple{k}" for k in range(width))
             else:
                 names.append(base)
-        for j in sorted(self.categorical):
-            base = self.feature_names[j]
-            names.extend(f"{base}_cat{k}" for k in range(self.categorical[j].width))
         return names
 
     @property
     def output_dim(self) -> int:
-        return len(self.output_names)
+        return sum(width for _, width in self._output_widths())
 
     def transform(self, features: np.ndarray, row_offset: int = 0) -> np.ndarray:
         """Encoded rows, one output row per input row.
 
+        Every kind is written straight into one output array,
+        ``TRANSFORM_BLOCK_ROWS`` rows at a time: each block's columns are
+        copied out together, imputed and encoded, so the temporaries stay
+        cache sized and the peak is the output plus one block. Every row is
+        encoded on its own, so the blocks give the bits of a whole-table
+        transform. Sizing on a 2-core Xeon (2 MiB L2 per core, numpy 2.4.6),
+        median of 5 calls:
+        - 200,000 desk-tiny rows x 32 columns, QLE at 64 bins, in blocks of
+          1,024 / 2,048 / 4,096 / 8,192 / 16,384 rows: 0.525 / 0.401 /
+          0.352 / 0.369 / 0.382 s. Encoding whole columns one by one and
+          concatenating them took about 1.0 s.
+        - 20,000 of those rows, PLE at 64 bins (1,757 output columns), in
+          blocks of 256 / 1,024 / 4,096 / 16,384 rows: 0.472 / 0.386 /
+          0.375 / 0.410 s.
+
         A CLR component that is not positive after its shift raises
-        DomainError, and a non-finite output raises ValueError. Either names
-        the first bad input cell in row-major order: its column, its value
-        and its row, counted as ``data.load_csv`` counts rows (the header is
-        row 1) when ``features[0]`` follows ``row_offset`` data rows.
+        DomainError, and a non-finite output raises ValueError; a DomainError
+        anywhere comes first. Either names the first bad input cell in
+        row-major order: its column, its value and its row, counted as
+        ``data.load_csv`` counts rows (the header is row 1) when
+        ``features[0]`` follows ``row_offset`` data rows.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {features.shape[1]}"
             )
-        blocks: list[np.ndarray] = []
-        sources: list[int] = []  # input column of each output column
+        widths = self._output_widths()
+        out = np.empty((features.shape[0], sum(w for _, w in widths)))
+        first_bad = None  # (row, column) of the first non-finite output
+        for lo in range(0, features.shape[0], TRANSFORM_BLOCK_ROWS):
+            block = features[lo:lo + TRANSFORM_BLOCK_ROWS]
+            dest = out[lo:lo + TRANSFORM_BLOCK_ROWS]
+            self._encode_block(block, dest, widths, row_offset + lo)
+            if first_bad is None and not np.isfinite(dest).all():
+                rows, cols = np.nonzero(~np.isfinite(dest))
+                sources = np.repeat([j for j, _ in widths], [w for _, w in widths])
+                first_bad = lo + rows[0], int(sources[cols[rows == rows[0]]].min())
+        if first_bad is not None:
+            raise ValueError(f"encoder produced non-finite output from {self._cell(features, *first_bad, row_offset)}")
+        return out
+
+    def _encode_block(self, block, dest, widths, row_offset: int) -> None:
+        cols = block.T.copy()  # one contiguous row per input column
+        missing = ~np.isfinite(cols)
+        if missing.any():
+            np.copyto(cols, self.medians[:, None], where=missing)
+        c = 0
         numeric = self.numeric_columns
-        if self.kind == "clr":
-            cols = np.stack([self._imputed_column(features, j) for j in numeric], axis=1)
-            shifted = cols + self.clr_shifts[numeric]
+        if self.kind == "clr" and numeric:
+            shifted = np.add(cols[numeric].T, self.clr_shifts[numeric], order="C")
             bad = shifted <= 0.0
             if bad.any():
                 i, k = np.argwhere(bad)[0]
-                raise DomainError(f"{self._cell(features, i, numeric[k], row_offset)} is not positive "
+                raise DomainError(f"{self._cell(block, i, numeric[k], row_offset)} is not positive "
                                   f"after the CLR shift {float(self.clr_shifts[numeric[k]])!r}")
-            blocks.append(clr_encode(shifted))
-            sources.extend(numeric)
-        else:
-            for j in numeric:
-                col = self._imputed_column(features, j)
-                if j in self.degenerate:
-                    blocks.append(np.zeros((col.size, 1)))
-                elif self.kind == "standardize":
-                    blocks.append(standardize(col, self.standardizers[j])[:, None])
-                elif self.kind == "qle":
-                    blocks.append(qle_encode(col, self.bins[j])[:, None])
-                elif self.kind == "quantile":
-                    blocks.append(quantile_encode(col, self.bins[j])[:, None])
-                elif self.kind == "ple":
-                    blocks.append(ple_encode(col, self.bins[j]))
-                sources.extend([j] * blocks[-1].shape[1])
-        for j in sorted(self.categorical):
-            blocks.append(one_hot_encode(self._imputed_column(features, j), self.categorical[j]))
-            sources.extend([j] * blocks[-1].shape[1])
-        out = np.concatenate(blocks, axis=1) if blocks else np.zeros((features.shape[0], 0))
-        if not np.all(np.isfinite(out)):
-            rows, cols = np.nonzero(~np.isfinite(out))
-            i = rows[0]
-            j = min(sources[c] for c in cols[rows == i])
-            raise ValueError(f"encoder produced non-finite output from {self._cell(features, i, j, row_offset)}")
-        return out
+            c = len(numeric)
+            dest[:, :c] = clr_encode(shifted)
+            widths = widths[c:]
+        for j, width in widths:
+            x, to = cols[j], dest[:, c:c + width]
+            c += width
+            if j in self.categorical:
+                one_hot_encode(x, self.categorical[j], out=to)
+            elif j in self.degenerate:
+                to[...] = 0.0
+            elif self.kind == "standardize":
+                standardize(x, self.standardizers[j], out=to[:, 0])
+            elif self.kind == "qle":
+                _qle_into(x, self.bins[j], to[:, 0])
+            elif self.kind == "quantile":
+                np.divide(_bin_index(x, self.bins[j]), self.bins[j].n, out=to[:, 0])
+            else:
+                _ple_into(x, self.bins[j], to)
 
     def _cell(self, features: np.ndarray, i: int, j: int, row_offset: int) -> str:
         return f"row {row_offset + i + 2}, column {self.feature_names[j]!r}, value {float(features[i, j])!r}"

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, ECDF comparisons, brute-force metrics.
+"""Shared test oracles: finite differences, ECDF comparisons, brute-force
+metrics, per-row CSV writing and per-column encoding.
 
 These stay deliberately independent of the library code paths they check.
 The spline helpers at the end are not oracles: they build explicit knot
@@ -9,6 +10,7 @@ import csv
 
 import numpy as np
 
+from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, StandardizeSpec
 from tkgmlp.spline import KnotVector, basis_derivative_matrix, basis_matrix
 
 
@@ -98,6 +100,121 @@ def per_row_write_csv(path, ds, label="label"):
                     cells[j] = ""
             cells.append(labels[i])
             fh.write(",".join(cells) + "\r\n")
+
+
+def _imputed(features, j, medians):
+    col = np.array(features[:, j], dtype=np.float64)
+    col[~np.isfinite(col)] = medians[j]
+    return col
+
+
+def per_column_fit(features, feature_names=None, kind="qle", n_bins=64, categorical_columns=()):
+    """An ``EncoderSpec`` fitted one whole column at a time by the plain
+    formulas. The median is ``np.median`` of the column's finite values. On
+    the column with its other cells set to that median: one-hot categories
+    by ``np.unique``, the CLR shift from the minimum, numpy's mean and std,
+    or bins from ``np.quantile`` of the unsorted values (of the halved values
+    when max - min overflows) with the minimum and maximum as end boundaries
+    and duplicates merged."""
+    features = np.asarray(features, dtype=np.float64)
+    n_cols = features.shape[1]
+    names = [f"x{j}" for j in range(n_cols)] if feature_names is None else list(feature_names)
+    medians = np.zeros(n_cols)
+    for j in range(n_cols):
+        finite = features[np.isfinite(features[:, j]), j]
+        medians[j] = float(np.median(finite)) if finite.size else 0.0
+    spec = EncoderSpec(kind=kind, n_bins=n_bins, feature_names=names, medians=medians)
+    if kind == "clr":
+        spec.clr_shifts = np.zeros(n_cols)
+    for j in range(n_cols):
+        col = _imputed(features, j, medians)
+        if j in categorical_columns:
+            spec.categorical[j] = OneHotSpec(np.unique(col))
+        elif kind == "clr":
+            if col.min() <= 0.0:
+                spec.clr_shifts[j] = 1.0 - col.min()
+        elif kind == "standardize":
+            spec.standardizers[j] = StandardizeSpec(mean=float(col.mean()), std=float(col.std()))
+        elif col.size < 2 or np.all(col == col[0]):
+            spec.degenerate.add(j)
+        else:
+            qs = np.arange(n_bins + 1) / n_bins
+            with np.errstate(over="ignore"):
+                wide = np.isinf(col.max() - col.min())
+            b = 2.0 * np.quantile(0.5 * col, qs) if wide else np.quantile(col, qs)
+            b[0], b[-1] = col.min(), col.max()
+            spec.bins[j] = BinSpec(np.unique(b))
+    return spec
+
+
+def _plain_fraction(x, lo, hi):
+    """(x - lo) / (hi - lo) with x clipped into [lo, hi], all three halved
+    where hi - lo overflows."""
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi - lo)
+    half = np.where(wide, 0.5, 1.0)
+    x, lo, hi = x * half, lo * half, hi * half
+    return (np.minimum(np.maximum(x, lo), hi) - lo) / (hi - lo)
+
+
+def per_column_transform(spec, features, row_offset=0):
+    """``EncoderSpec.transform`` by the plain formulas, one whole column at a
+    time: each column imputed and encoded on its own, the bin index by
+    ``searchsorted``, PLE by the per-bin formula over every bin, the blocks
+    concatenated and the whole table checked once. Errors name the first bad
+    cell in row-major order, with the row counted from the CSV header."""
+    features = np.asarray(features, dtype=np.float64)
+
+    def cell(i, j):
+        return f"row {row_offset + i + 2}, column {spec.feature_names[j]!r}, value {float(features[i, j])!r}"
+
+    blocks, sources = [], []
+    numeric = spec.numeric_columns
+    if spec.kind == "clr":
+        shifted = np.stack([_imputed(features, j, spec.medians) for j in numeric], axis=1) + spec.clr_shifts[numeric]
+        bad = shifted <= 0.0
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise DomainError(f"{cell(i, numeric[k])} is not positive after the CLR shift "
+                              f"{float(spec.clr_shifts[numeric[k]])!r}")
+        logs = np.log(shifted)
+        blocks.append(logs - logs.mean(axis=-1, keepdims=True))
+        sources.extend(numeric)
+    else:
+        for j in numeric:
+            x = _imputed(features, j, spec.medians)
+            if j in spec.degenerate:
+                enc = np.zeros((x.size, 1))
+            elif spec.kind == "standardize":
+                s = spec.standardizers[j]
+                enc = (np.zeros_like(x) if s.std == 0.0 else (x - s.mean) / s.std)[:, None]
+            else:
+                b = spec.bins[j].boundaries
+                n = b.size - 1
+                i = np.clip(np.searchsorted(b, x, side="right") - 1, 0, n - 1)
+                if spec.kind == "qle":
+                    enc = np.clip(i / n + _plain_fraction(x, b[i], b[i + 1]) / n, 0.0, 1.0)[:, None]
+                elif spec.kind == "quantile":
+                    enc = (i / n)[:, None]
+                else:
+                    enc = _plain_fraction(x[:, None], b[:-1], b[1:])
+            blocks.append(enc)
+            sources.extend([j] * enc.shape[1])
+    for j in sorted(spec.categorical):
+        x = _imputed(features, j, spec.medians)
+        cats = spec.categorical[j].categories
+        enc = np.zeros((x.size, cats.size + 1))
+        idx = np.clip(np.searchsorted(cats, x), 0, cats.size - 1)
+        enc[np.arange(x.size), np.where(cats[idx] == x, idx, cats.size)] = 1.0
+        blocks.append(enc)
+        sources.extend([j] * enc.shape[1])
+    out = np.concatenate(blocks, axis=1) if blocks else np.zeros((features.shape[0], 0))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        rows, cols = np.nonzero(bad)
+        j = min(sources[c] for c in cols[rows == rows[0]])
+        raise ValueError(f"encoder produced non-finite output from {cell(rows[0], j)}")
+    return out
 
 
 def from_knots(knots, degree, domain=None):

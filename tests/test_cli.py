@@ -11,7 +11,7 @@ from tkgmlp import data
 from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main
 from tkgmlp.data import Dataset, load_csv, write_csv
-from tkgmlp.encoders import EncoderSpec
+from tkgmlp.encoders import EncoderSpec, fit_standardize, standardize
 
 from .helpers import per_row_write_csv
 
@@ -260,6 +260,20 @@ class TestEncode:
                        "--data", tmp_path / "data" / "test.csv", "--out", out)
         assert code == 0
         assert load_csv(out).n_rows == 200
+
+    def test_standardize_at_the_float_ends(self, tmp_path):
+        # Near 1e-300 the variance underflows to a std of 0.0, and near 1e308
+        # the mean overflows, unless the column is fitted in a scaled frame.
+        features = np.array([[1e-300, 1e308], [3e-300, 1.5e308], [2e-300, -1e300]])
+        write_csv(tmp_path / "ends.csv", Dataset(features, np.array([0.0, 1.0, 0.0]), ["tiny", "huge"]))
+        cfg = write_config(tmp_path, encoder={"kind": "standardize"})
+        out = tmp_path / "ends.out.csv"
+        assert run_cli("encode", "--config", cfg, "--data", tmp_path / "ends.csv", "--out", out) == 0
+        encoded = load_csv(out)
+        np.testing.assert_allclose(encoded.features[:, 0], [-np.sqrt(1.5), np.sqrt(1.5), 0.0], rtol=1e-14, atol=1e-15)
+        huge = features[:, 1]
+        assert encoded.features[:, 1].tolist() == standardize(huge, fit_standardize(huge)).tolist()
+        assert np.all(np.isfinite(encoded.features))
 
     def test_data_columns_matched_by_name(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

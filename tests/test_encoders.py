@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tkgmlp import encoders
 from tkgmlp.data import SyntheticColumnSpec
 from tkgmlp.encoders import (
+    TRANSFORM_BLOCK_ROWS,
     BinSpec,
     DegenerateFeatureError,
     DomainError,
     EncoderSpec,
+    StandardizeSpec,
     clr_encode,
     fit_bins,
     fit_one_hot,
@@ -22,7 +27,7 @@ from tkgmlp.encoders import (
     standardize,
 )
 
-from .helpers import two_sample_ks
+from .helpers import per_column_fit, per_column_transform, two_sample_ks
 
 FIXTURE = BinSpec(np.array([0.0, 1.0, 2.0, 4.0]))
 
@@ -341,6 +346,13 @@ class TestEncoderSpec:
             with pytest.raises(ValueError, match=r"non-finite output from row 9, column 'x1', value 1e\+300$"):
                 spec.transform(bad)
 
+    def test_clr_with_only_categorical_columns(self):
+        x = self.make_features()[:, [2, 2]]
+        spec = EncoderSpec.fit(x, kind="clr", categorical_columns=[0, 1])
+        out = spec.transform(x)
+        assert out.shape == (x.shape[0], spec.output_dim)
+        np.testing.assert_array_equal(out.sum(axis=1), 2.0)
+
     def test_ple_width_accounting(self):
         x = self.make_features()
         spec = EncoderSpec.fit(x, kind="ple", n_bins=6)
@@ -358,3 +370,244 @@ class TestEncoderSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EncoderSpec.fit(self.make_features(), kind="nope")
+
+
+def searchsorted_index(x, b):
+    return np.clip(np.searchsorted(b, x, side="right") - 1, 0, b.size - 2)
+
+
+FAR_KEYS = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+            0.0, -0.0, 5e-324, -5e-324]
+
+
+def assert_bin_index_exact(b, keys=()):
+    """_bin_index equals the searchsorted formula at every boundary, its two
+    neighbours, the far keys and the given keys."""
+    spec = BinSpec(np.asarray(b, dtype=np.float64))
+    b = spec.boundaries
+    with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
+        x = np.concatenate([b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf), FAR_KEYS,
+                            np.asarray(keys, dtype=np.float64)])
+    assert encoders._bin_index(x, spec).tolist() == searchsorted_index(x, b).tolist()
+    return spec
+
+
+class TestBinIndex:
+    """The grid-guided branchless search against clip(searchsorted(b, x,
+    "right") - 1, 0, n - 1)."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        boundaries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=70, unique=True),
+        keys=st.lists(st.floats(), max_size=40),
+    )
+    def test_equals_searchsorted(self, boundaries, keys):
+        assert_bin_index_exact(np.sort(boundaries), keys)
+
+    @pytest.mark.parametrize("b", [
+        [0.0, 1.0],  # n = 1: no interior boundary
+        [-1.0, 0.0, 1.0],  # one interior boundary: a zero span
+        [0.0, 5e-324, 1e-323, 1.5e-323, 1.0],  # subnormal bin widths
+        [-1e308, -1.0, 1.0, 1e308],  # interior span fits
+        [-1.7e308, -1e308, 1e308, 1.7e308],  # interior span overflows
+        [1e16, 1e16 + 2, 1e16 + 4, 1e16 + 6, 1e16 + 8],  # one ulp apart, far from zero
+    ], ids=["one-bin", "zero-span", "subnormal", "wide", "overflowing-span", "ulp-apart"])
+    def test_fixed_cases(self, b):
+        spec = assert_bin_index_exact(b, np.linspace(b[0], b[-1], 101) if np.isfinite(b[-1] - b[0]) else ())
+        assert spec.n == len(b) - 1
+
+    def test_crowded_heavy_tail(self):
+        # exp(2.5 z) crowds the low boundaries into the first grid cells, so
+        # the search takes several halving steps there
+        values = np.exp(2.5 * np.random.default_rng(6).normal(size=20_000))
+        spec = assert_bin_index_exact(fit_bins(values, 64).boundaries, values)
+        assert len(spec._grid.probes) >= 4
+        grid_of_keys = values.reshape(100, 2, 100)  # any key shape
+        assert np.array_equal(encoders._bin_index(grid_of_keys, spec),
+                              searchsorted_index(grid_of_keys, spec.boundaries))
+
+    def test_grid_is_derived_not_serialized(self):
+        x = np.random.default_rng(0).normal(size=(50, 2))
+        spec = EncoderSpec.fit(x, kind="qle", n_bins=8)
+        saved = json.dumps(spec.to_dict())
+        out = spec.transform(x)  # builds every grid
+        assert json.dumps(spec.to_dict()) == saved
+        assert EncoderSpec.from_dict(json.loads(saved)).transform(x).tobytes() == out.tobytes()
+
+
+def test_nan_keys_follow_the_plain_formulas():
+    # searchsorted puts NaN after every boundary; QLE and PLE then divide NaN
+    spec = BinSpec(np.array([0.0, 1.0, 2.0, 4.0]))
+    assert np.isnan(qle_encode(np.nan, spec))
+    assert quantile_encode(np.nan, spec) == 2.0 / 3.0
+    assert np.isnan(ple_encode(np.nan, spec)).all()
+    assert ple_encode(np.array([[np.nan, 3.0]]), spec).tolist()[0][1] == [1.0, 1.0, 0.5]
+
+
+class TestAgainstPerColumnOracle:
+    """Fit and the row-block transform give the bits of fitting and encoding
+    one whole column at a time (``tests/helpers.py``)."""
+
+    KINDS = ["qle", "ple", "quantile", "standardize", "clr"]
+    B = TRANSFORM_BLOCK_ROWS
+
+    @staticmethod
+    def table(n, seed=3):
+        """Eleven columns, more than one fit group: smooth, skewed, heavy
+        tailed, tied, zero inflated, constant, signed zeros, subnormal and
+        huge values, with NaN and +-inf cells; column 4 is categorical."""
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([
+            rng.normal(size=n),
+            rng.exponential(2.0, size=n),
+            np.exp(2.5 * rng.normal(size=n)),
+            rng.integers(0, 5, size=n).astype(float),
+            rng.integers(0, 3, size=n).astype(float),
+            np.where(rng.random(n) < 0.7, 0.0, rng.poisson(3.0, size=n).astype(float)),
+            np.full(n, 7.0),
+            np.where(rng.random(n) < 0.5, 0.0, -0.0) + np.where(rng.random(n) < 0.1, rng.normal(size=n), 0.0),
+            rng.normal(size=n) * 1e-310,
+            rng.normal(size=n) * 1e300,
+            rng.uniform(1.0, 2.0, size=n),
+        ])
+        cells = rng.random(x.shape)
+        x[cells < 0.02] = np.nan
+        x[(cells > 0.995) & (np.arange(x.shape[1]) != 6)] = np.inf
+        x[(cells > 0.99) & (cells <= 0.995)] = -np.inf
+        return x
+
+    def fit_both(self, kind, x):
+        args = dict(kind=kind, n_bins=16, categorical_columns=[4])
+        if kind == "clr":
+            x = np.abs(x)  # the CLR shift covers zeros; a non-positive unseen value fails
+        if kind == "standardize":
+            x = x[:, :8]  # the plain mean and std fail at the float ends; see below
+        return x, EncoderSpec.fit(x, **args), per_column_fit(x, **args)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_matches(self, kind):
+        x, spec, oracle = self.fit_both(kind, self.table(2 * self.B + 3))
+        assert json.dumps(spec.to_dict()) == json.dumps(oracle.to_dict())
+        assert spec.medians.tobytes() == oracle.medians.tobytes()
+        assert spec.degenerate == oracle.degenerate
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_transform_bytes_match(self, kind, rows):
+        x, spec, _ = self.fit_both(kind, self.table(2 * self.B + 3))
+        got = spec.transform(x[:rows])
+        want = per_column_transform(spec, x[:rows])
+        assert got.shape == want.shape == (rows, spec.output_dim)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("column, n_bins", [
+        ([-0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 3.0, 0.0, 3.0, -0.0, -1.0, 0.0, 1.0, 0.0, -0.0, -0.0,
+          -3.0, 0.0, 2.0, -0.0, -0.0, -2.0, 0.0, 0.0, -0.0, 0.0], 3),
+        ([0.0, 0.0, 0.0, -1.0, -3.0, 0.0, 2.0, -1.0, 0.0, 0.0, 0.0, 3.0, -1.0, -2.0, -0.0, -2.0, 0.0, 0.0,
+          0.0, 2.0, -2.0, 1.0, 0.0, -2.0, -0.0, -0.0, 2.0, -0.0, 2.0, 1.0, -1.0, -1.0, 3.0, 0.0, 2.0, 0.0,
+          -1.0, -3.0], 2),
+    ])
+    def test_signed_zeros_keep_the_plain_bits(self, column, n_bins):
+        # A sort may order -0.0 and 0.0 either way; the quantiles of these
+        # sorted columns have the other zero at the middle boundary.
+        x = np.array(column)[:, None]
+        spec, oracle = EncoderSpec.fit(x, n_bins=n_bins), per_column_fit(x, n_bins=n_bins)
+        assert json.dumps(spec.to_dict()) == json.dumps(oracle.to_dict())
+        assert fit_bins(x[:, 0], n_bins).boundaries.tobytes() == oracle.bins[0].boundaries.tobytes()
+
+    def standardize_with_bad_cell(self, row):
+        x = self.table(2 * self.B + 10)[:, :4] * 1e-150
+        x[:, 3] = np.round(x[:, 3] * 1e150)
+        spec = EncoderSpec.fit(x, kind="standardize", categorical_columns=[3])
+        x[row, 1] = 1e300
+        return spec, x
+
+    def test_error_in_second_block_names_the_file_row(self):
+        row = self.B + 5
+        spec, x = self.standardize_with_bad_cell(row)
+        message = rf"^encoder produced non-finite output from row {100 + row + 2}, column 'x1', value 1e\+300$"
+        for encode in (spec.transform, lambda *a, **k: per_column_transform(spec, *a, **k)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(ValueError, match=message):
+                    encode(x, row_offset=100)
+
+    def test_domain_error_anywhere_comes_before_a_non_finite_output(self):
+        x = np.abs(self.table(2 * self.B + 10)[:, [0, 1, 3]])
+        x[0, 0] = -1e308  # the CLR shift of x0 becomes 1e308
+        spec = EncoderSpec.fit(x, kind="clr", categorical_columns=[2])
+        bad = x.copy()
+        bad[0, 0] = 1.0
+        bad[3, 0] = 1.7e308  # shifted to inf in the first block
+        bad[self.B + 7, 1] = -5.0  # not positive in the second block
+        message = rf"^row {self.B + 9}, column 'x1', value -5.0 is not positive after the CLR shift 0.0$"
+        for encode in (spec.transform, lambda b: per_column_transform(spec, b)):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the first block
+                with pytest.raises(DomainError, match=message):
+                    encode(bad)
+
+
+def test_transform_peak_stays_near_its_output():
+    # One output array and one block of temporaries: 100k rows x 32 QLE
+    # columns peaked at about 2.1x the output when columns were encoded whole
+    # and concatenated.
+    x = np.random.default_rng(8).normal(size=(100_000, 32))
+    spec = EncoderSpec.fit(x, kind="qle", n_bins=64)
+    tracemalloc.start()
+    try:
+        out = spec.transform(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
+
+
+class TestFitStandardizeAtTheFloatEnds:
+    def test_tiny_column_keeps_its_spread(self):
+        spec = fit_standardize([1e-300, 3e-300, 2e-300])
+        assert spec.mean == pytest.approx(2e-300, rel=1e-15)
+        assert spec.std == pytest.approx(np.sqrt(2.0 / 3.0) * 1e-300, rel=1e-15)
+        out = standardize(np.array([1e-300, 3e-300, 2e-300]), spec)
+        np.testing.assert_allclose(out, [-np.sqrt(1.5), np.sqrt(1.5), 0.0], rtol=1e-14, atol=1e-15)
+
+    def test_huge_column_stays_finite(self):
+        values = np.array([1e308, 1.5e308, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = fit_standardize(values)
+            out = standardize(values, spec)
+        assert spec.mean == pytest.approx((1.0 + 1.5 - 1e-8) / 3.0 * 1e308, rel=1e-15)
+        assert np.isfinite(spec.std) and spec.std > 0.0
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, (values / 1e300 - spec.mean / 1e300) / (spec.std / 1e300), rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-30, 1.0, 1e30, 1e100])
+    def test_ordinary_columns_keep_their_bits(self, scale):
+        values = np.random.default_rng(5).normal(3.0, 2.0, size=1001) * scale
+        assert fit_standardize(values) == StandardizeSpec(mean=float(values.mean()), std=float(values.std()))
+
+    def test_values_far_from_the_mean_stay_finite(self):
+        # x - mean overflows for the first value of its own training column
+        values = np.array([-1.7e308, 1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = fit_standardize(values)
+            out = EncoderSpec.fit(values[:, None], kind="standardize").transform(values[:, None])[:, 0]
+        np.testing.assert_allclose(out, [-np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-14)
+        assert out.tolist() == standardize(values, spec).tolist()
+        assert standardize(np.array([np.inf, -np.inf]), spec).tolist() == [np.inf, -np.inf]
+
+    def test_through_encoder_spec(self):
+        x = np.array([[1e-300, 1e308, 0.5], [3e-300, 1.5e308, 1.5], [2e-300, -1e300, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = EncoderSpec.fit(x, kind="standardize")
+            out = spec.transform(x)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[:, 0], [-np.sqrt(1.5), np.sqrt(1.5), 0.0], rtol=1e-14, atol=1e-15)
+        assert out[:, 1].std() == pytest.approx(1.0, rel=1e-12)
