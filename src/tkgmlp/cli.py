@@ -114,11 +114,10 @@ def _resolve_splits(cfg: RunConfig):
         ds = data_mod.load_csv(section["path"], label=label, time=time_col, ignore=ignore)
         splits = data_mod.chronological_split(ds, section.get("fractions", (0.6, 0.2, 0.2)))
         return (*splits, None)
-    splits = tuple(
-        data_mod.load_csv(section[name], label=label, time=time_col, ignore=ignore)
-        for name in ("train", "valid", "test")
-    )
-    return (*splits, None)
+    train = data_mod.load_csv(section["train"], label=label, time=time_col, ignore=ignore)
+    valid, test = (data_mod.load_csv(section[name], label=label, time=time_col, ignore=ignore,
+                                     features=train.feature_names) for name in ("valid", "test"))
+    return train, valid, test, None
 
 
 def _fit_encoder(cfg: RunConfig, train_ds: data_mod.Dataset) -> EncoderSpec:
@@ -134,28 +133,6 @@ def _fit_encoder(cfg: RunConfig, train_ds: data_mod.Dataset) -> EncoderSpec:
         n_bins=cfg.encoder["n_bins"],
         categorical_columns=cat_idx,
     )
-
-
-def _features_by_name(ds: data_mod.Dataset, names: list[str], path) -> np.ndarray:
-    """``ds.features`` with its columns in the order of ``names``, the columns
-    the encoder was fitted on; ``ds.features`` itself when they already are."""
-    if ds.feature_names == names:
-        return ds.features
-    have = ds.feature_names
-    missing = [n for n in names if n not in have]
-    extra = [n for n in have if n not in names]
-    if missing or extra or len(set(have)) < len(have) or len(have) != len(names):
-        raise data_mod.DataError(f"{path}: feature columns are not the {len(names)} training columns "
-                                 f"in some order: missing {missing}, extra {extra}")
-    return ds.features[:, [have.index(n) for n in names]]
-
-
-def _model_config(cfg: RunConfig, input_dim: int) -> ModelConfig:
-    section = dict(cfg.model)
-    section.setdefault("hidden_dim", 64)
-    if "spline_range" in section:
-        section["spline_range"] = tuple(section["spline_range"])
-    return ModelConfig(input_dim=input_dim, **section)
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
@@ -191,22 +168,16 @@ def cmd_fit(args) -> int:
     encoder = _fit_encoder(cfg, train_ds)
     x_train = encoder.transform(train_ds.features)
     x_valid = encoder.transform(valid_ds.features)
-    model_cfg = _model_config(cfg, x_train.shape[1])
+    model_cfg = ModelConfig(input_dim=x_train.shape[1], **cfg.model)
     mdl = build_model(model_cfg, seed=derive_seed(cfg.seed, "model"))
     train_cfg = _train_config(cfg)
 
-    epoch_rows = []
-
-    def on_epoch(stats):
-        print(stats.log_line(with_elapsed=True))
-        epoch_rows.append(stats.log_line(with_elapsed=False))
-
-    result = trainer_mod.train(mdl, (x_train, train_ds.labels), (x_valid, valid_ds.labels),
-                               train_cfg, on_epoch=on_epoch)
+    result = trainer_mod.train(mdl, (x_train, train_ds.labels), (x_valid, valid_ds.labels), train_cfg,
+                               on_epoch=lambda stats: print(stats.log_line(with_elapsed=True)))
     log_path = out_dir / EPOCH_LOG_NAME
     with open(log_path, "w") as fh:
         fh.write("epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n")
-        fh.write("".join(row + "\n" for row in epoch_rows))
+        fh.write("".join(stats.log_line(with_elapsed=False) + "\n" for stats in result.history))
     best = {
         "best_epoch": result.best_epoch,
         "best_valid_ks": result.best_ks,
@@ -232,9 +203,9 @@ def cmd_evaluate(args) -> int:
     data_section = loaded.run_config.get("data", {})
     label = args.label or data_section.get("label", "label")
     time_col = args.time if args.time is not None else data_section.get("time")
-    ds = data_mod.load_csv(args.data, label=label, time=time_col,
-                           ignore=tuple(data_section.get("ignore", ())))
-    x = loaded.encoder.transform(_features_by_name(ds, loaded.encoder.feature_names, args.data))
+    ds = data_mod.load_csv(args.data, label=label, time=time_col, ignore=tuple(data_section.get("ignore", ())),
+                           features=loaded.encoder.feature_names)
+    x = loaded.encoder.transform(ds.features)
     scores = loaded.model.predict(x)
     report = metrics_mod.compute_metrics(scores, ds.labels)
     print(f"n_rows={ds.n_rows}")
@@ -253,7 +224,7 @@ def cmd_grid(args) -> int:
     encoder = _fit_encoder(cfg, train_ds)
     x_train = encoder.transform(train_ds.features)
     x_valid = encoder.transform(valid_ds.features)
-    base_cfg = _model_config(cfg, x_train.shape[1])
+    base_cfg = ModelConfig(input_dim=x_train.shape[1], **cfg.model)
     space = GridSpace(**{k: tuple(v) for k, v in cfg.grid.items()})
     train_cfg = _train_config(cfg)
 
@@ -293,15 +264,15 @@ def cmd_encode(args) -> int:
     cfg = _run_config(args)
     fit_path = args.train or args.data
     fit_ds = data_mod.load_csv(fit_path, label=args.label)
-    apply_ds = fit_ds if fit_path == args.data else data_mod.load_csv(args.data, label=args.label)
+    apply_ds = (fit_ds if fit_path == args.data
+                else data_mod.load_csv(args.data, label=args.label, features=fit_ds.feature_names))
     encoder = _fit_encoder(cfg, fit_ds)
-    features = _features_by_name(apply_ds, encoder.feature_names, args.data)
     names = encoder.output_names
     step = data_mod.rows_per_block(len(names))
     with data_mod.csv_block_writer(args.out, names, label=args.label) as write:
         # One block even with no rows, so that transform checks the columns.
         for lo in range(0, max(apply_ds.n_rows, 1), step):
-            write(encoder.transform(features[lo:lo + step], row_offset=lo), apply_ds.labels[lo:lo + step])
+            write(encoder.transform(apply_ds.features[lo:lo + step], row_offset=lo), apply_ds.labels[lo:lo + step])
     log.info("wrote %s (%d rows, %d columns)", args.out, apply_ds.n_rows, len(names))
     print(f"encoded_rows={apply_ds.n_rows}")
     print(f"encoded_columns={len(names)}")

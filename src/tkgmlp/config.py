@@ -1,9 +1,10 @@
 """Run configuration: one JSON document per run, validated up front.
 
 Unknown keys are rejected so typos fail before any work starts, and the
-``model`` and ``train`` sections are checked for type and range by building
-a ``ModelConfig`` and a ``TrainConfig`` from them, whose own checks use the
-``require_*`` helpers here. Individual keys can be overridden from the
+``model`` and ``train`` sections, and each ``grid`` value, are checked for
+type and range by building a ``ModelConfig`` and a ``TrainConfig`` from
+them, whose own checks use the ``require_*`` helpers here; the ``data`` and
+``encoder`` values are checked with the same helpers. Individual keys can be overridden from the
 command line with ``--set a.b=value``.
 """
 
@@ -102,7 +103,7 @@ class RunConfig:
         _check_keys(self.model, {f.name for f in fields(ModelConfig)} - {"input_dim"}, "model")
         _check_keys(self.train, {f.name for f in fields(TrainConfig)} - {"seed"}, "train")
         try:
-            ModelConfig(**{"input_dim": 1, "hidden_dim": 1, **self.model})
+            ModelConfig(input_dim=1, **self.model)
         except ConfigError as exc:
             raise ConfigError(f"model.{exc}") from None
         try:
@@ -111,6 +112,14 @@ class RunConfig:
             raise ConfigError(f"train.{exc}") from None
         if self.grid is not None:
             _check_keys(self.grid, _GRID_KEYS, "grid")
+            for key, values in self.grid.items():
+                if not (isinstance(values, list) and values):
+                    raise ConfigError(f"grid.{key} must be a non-empty list, got {values!r}")
+                for value in values:  # each alone: the sweep sets all five keys
+                    try:
+                        ModelConfig(input_dim=1, **{key: value})
+                    except ConfigError as exc:
+                        raise ConfigError(f"grid.{exc}") from None
         kind = self.data.get("kind")
         if kind not in ("csv", "synth"):
             raise ConfigError(f"data.kind must be 'csv' or 'synth', got {kind!r}")
@@ -123,10 +132,23 @@ class RunConfig:
             rows = self.data.get("rows")
             if not (isinstance(rows, list) and len(rows) == 3 and all(isinstance(r, int) and r > 0 for r in rows)):
                 raise ConfigError("data: synth needs rows = [n_train, n_valid, n_test]")
+        if "columns" in self.data:
+            require_int("data.columns", self.data["columns"], 1)
+        if "prevalence" in self.data:
+            require_number("data.prevalence", self.data["prevalence"], lambda v: 0.0 < v <= 0.5, "in (0, 0.5]")
+        if "signal_scale" in self.data:
+            require_number("data.signal_scale", self.data["signal_scale"], lambda v: v >= 0.0, ">= 0")
+        fractions = self.data.get("fractions", [0.6, 0.2, 0.2])
+        if not (isinstance(fractions, list) and len(fractions) == 3
+                and all(_finite_number(f) and f > 0.0 for f in fractions) and sum(fractions) <= 1.0 + 1e-12):
+            raise ConfigError(f"data.fractions must be three positive numbers summing to at most 1, got {fractions!r}")
         if self.encoder["kind"] not in ENCODER_KINDS:
             raise ConfigError(f"encoder.kind must be one of {ENCODER_KINDS}")
-        if not (isinstance(self.encoder["n_bins"], int) and self.encoder["n_bins"] >= 1):
-            raise ConfigError("encoder.n_bins must be a positive integer")
+        require_int("encoder.n_bins", self.encoder["n_bins"], 1)
+        for where, names in (("data.ignore", self.data.get("ignore", [])),
+                             ("encoder.categorical", self.encoder.get("categorical", []))):
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ConfigError(f"{where} must be a list of column names, got {names!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -30,11 +30,13 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, d), NaN only where missing_mask is set
+    """Feature rows and 0/1 labels. A NaN feature is a missing cell, the only
+    marker of one, so ``features`` may hold NaN but never +-inf."""
+
+    features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,) in {0, 1}
     feature_names: list[str]
     time_values: np.ndarray | None = None
-    missing_mask: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -44,13 +46,8 @@ class Dataset:
             raise DataError("labels must be 0/1")
         if self.time_values is not None and self.time_values.shape != (n,):
             raise DataError("time column must align with feature rows")
-        if self.missing_mask is not None and self.missing_mask.shape != self.features.shape:
-            raise DataError("missing mask must shape-match features")
-        finite = np.isfinite(self.features)
-        if self.missing_mask is not None:
-            finite |= self.missing_mask
-        if not finite.all():
-            raise DataError("non-finite features outside the missing mask")
+        if np.isinf(self.features).any():
+            raise DataError("infinite features; only NaN may mark a missing cell")
 
     @property
     def n_rows(self) -> int:
@@ -62,12 +59,15 @@ class Dataset:
             labels=self.labels[idx],
             feature_names=self.feature_names,
             time_values=None if self.time_values is None else self.time_values[idx],
-            missing_mask=None if self.missing_mask is None else self.missing_mask[idx],
         )
 
 
-def load_csv(path, label: str = "label", time: str | None = None, ignore=()) -> Dataset:
+def load_csv(path, label: str = "label", time: str | None = None, ignore=(), features=None) -> Dataset:
     """Read a headered CSV into a Dataset.
+
+    The feature columns are the header's columns other than the label, the
+    time column and ``ignore``: in file order, or in the order of
+    ``features``, which must name each of them once (see ``_read_header``).
 
     One pass over the raw bytes counts the lines and looks for an empty cell
     (two separators in a row, carriage returns aside). A file without one goes
@@ -78,26 +78,26 @@ def load_csv(path, label: str = "label", time: str | None = None, ignore=()) -> 
     any file the C parser rejects (an unparseable or non-finite cell, a
     ragged or blank row, a quoted cell spanning lines, a whitespace-only or
     quoted empty cell), is read by the row scanner, ``_scan_csv``: empty
-    feature cells become NaN with the missing mask set, and anything else
-    raises DataError with row/column coordinates.
+    feature cells become NaN, the only missing marker, and anything else
+    (a ``nan`` or ``inf`` text cell among them) raises DataError with
+    row/column coordinates.
     """
     n_lines, has_empty = _survey(path)
     if has_empty or n_lines < 2:
-        return _scan_csv(path, label, time, ignore)
+        return _scan_csv(path, label, time, ignore, features)
     with open(path, newline="") as fh:
-        header, cols = _read_header(fh, path, label, time, ignore)
+        header, cols = _read_header(fh, path, label, time, ignore, features)
         table = _parse_bulk(fh, header, cols)
     if table is None or table.shape != (n_lines - 1, len(header)):
-        return _scan_csv(path, label, time, ignore)
-    features = table[:, [j for j, _ in cols.features]]
-    if not np.isfinite(features).all():
-        return _scan_csv(path, label, time, ignore)
+        return _scan_csv(path, label, time, ignore, features)
+    x = table[:, [j for j, _ in cols.features]]
+    if not np.isfinite(x).all():
+        return _scan_csv(path, label, time, ignore, features)
     return Dataset(
-        features=features,
+        features=x,
         labels=table[:, cols.label].copy(),
         feature_names=[name for _, name in cols.features],
         time_values=None if cols.time is None else table[:, cols.time].copy(),
-        missing_mask=np.zeros(features.shape, dtype=bool),
     )
 
 
@@ -110,7 +110,11 @@ class _Columns:
     time: int | None
 
 
-def _read_header(fh, path, label, time, ignore) -> tuple[list[str], _Columns]:
+def _read_header(fh, path, label, time, ignore, features=None) -> tuple[list[str], _Columns]:
+    """The header and the positions of its columns. With ``features``, the
+    feature columns come in that order, and the header's feature columns
+    must be exactly those names, each once, or DataError lists the missing
+    and the extra ones."""
     try:
         header = next(csv.reader(fh))
     except StopIteration:
@@ -120,8 +124,17 @@ def _read_header(fh, path, label, time, ignore) -> tuple[list[str], _Columns]:
     if time is not None and time not in header:
         raise DataError(f"{path}: missing time column {time!r}")
     skip = set(ignore) | {label} | ({time} if time else set())
+    found = [(j, name) for j, name in enumerate(header) if name not in skip]
+    if features is not None and [name for _, name in found] != list(features):
+        index = {name: j for j, name in found}
+        missing = [n for n in features if n not in index]
+        extra = [n for _, n in found if n not in features]
+        if missing or extra or len(index) < len(found) or len(found) != len(features):
+            raise DataError(f"{path}: feature columns are not the {len(features)} training columns "
+                            f"in some order: missing {missing}, extra {extra}")
+        found = [(index[n], n) for n in features]
     return header, _Columns(
-        features=[(j, name) for j, name in enumerate(header) if name not in skip],
+        features=found,
         label=header.index(label),
         time=header.index(time) if time else None,
     )
@@ -172,24 +185,25 @@ def _parse_bulk(fh, header: list[str], cols: _Columns) -> np.ndarray | None:
         return None
 
 
-def _scan_csv(path, label: str = "label", time: str | None = None, ignore=()) -> Dataset:
+def _scan_csv(path, label: str = "label", time: str | None = None, ignore=(), features=None) -> Dataset:
     """Read a CSV one cell at a time; the reader for every file the C parser
-    cannot take, and the one that sets the missing mask and names the first
-    bad cell in row-major order."""
+    cannot take, and the one that turns empty feature cells into NaN and
+    names the first bad cell in row-major order. A text cell that parses to
+    NaN is stored as inf, so that NaN stays the mark of an empty cell and
+    the bulk check below finds every other non-finite cell."""
     with open(path, newline="") as fh:
-        header, cols = _read_header(fh, path, label, time, ignore)
+        header, cols = _read_header(fh, path, label, time, ignore, features)
         rows = list(csv.reader(fh))
     n = len(rows)
-    features = np.zeros((n, len(cols.features)))  # cells not reached stay finite
-    mask = np.zeros((n, len(cols.features)), dtype=bool)
+    x = np.zeros((n, len(cols.features)))  # cells not reached stay finite
     labels = np.empty(n)
     times = np.empty(n) if cols.time is not None else None
 
     def check_finite():
         # Non-finite values are found in bulk, after the cells are parsed.
-        bad = np.flatnonzero(~(np.isfinite(features) | mask))
+        bad = np.flatnonzero(np.isinf(x))
         if bad.size:
-            i, k = divmod(int(bad[0]), features.shape[1])
+            i, k = divmod(int(bad[0]), x.shape[1])
             j, name = cols.features[k]
             raise DataError(f"{path}: row {i + 2}, column {name!r}: non-finite value {rows[i][j].strip()!r}") from None
 
@@ -200,11 +214,11 @@ def _scan_csv(path, label: str = "label", time: str | None = None, ignore=()) ->
             for k, (j, name) in enumerate(cols.features):
                 cell = row[j].strip()
                 if cell == "":
-                    features[i, k] = np.nan
-                    mask[i, k] = True
+                    x[i, k] = np.nan
                     continue
                 try:
-                    features[i, k] = float(cell)
+                    value = float(cell)
+                    x[i, k] = value if value == value else np.inf
                 except ValueError:
                     raise DataError(f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r}") from None
             try:
@@ -221,11 +235,10 @@ def _scan_csv(path, label: str = "label", time: str | None = None, ignore=()) ->
         raise
     check_finite()
     return Dataset(
-        features=features,
+        features=x,
         labels=labels,
         feature_names=[name for _, name in cols.features],
         time_values=times,
-        missing_mask=mask,
     )
 
 
@@ -245,8 +258,8 @@ def rows_per_block(n_features: int) -> int:
 
 @contextlib.contextmanager
 def csv_block_writer(path, feature_names, label: str = "label"):
-    """Open a CSV for writing in row blocks; yields
-    ``write(features, labels, missing_mask=None)``, which appends rows.
+    """Open a CSV for writing in row blocks; yields ``write(features, labels)``,
+    which appends rows, a NaN feature as an empty cell.
 
     The header is a ``csv.writer`` row, and each ``write`` formats its rows
     ``rows_per_block`` at a time (see ``_format_rows``). Everything goes to a
@@ -261,11 +274,10 @@ def csv_block_writer(path, feature_names, label: str = "label"):
         with fh:
             csv.writer(fh).writerow(list(feature_names) + [label])
 
-            def write(features, labels, missing_mask=None):
+            def write(features, labels):
                 step = rows_per_block(features.shape[1])
                 for lo in range(0, features.shape[0], step):
-                    holes = None if missing_mask is None else missing_mask[lo:lo + step]
-                    fh.write(_format_rows(features[lo:lo + step], labels[lo:lo + step], holes))
+                    fh.write(_format_rows(features[lo:lo + step], labels[lo:lo + step]))
 
             yield write
         os.replace(tmp, path)
@@ -274,11 +286,11 @@ def csv_block_writer(path, feature_names, label: str = "label"):
         raise
 
 
-def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) -> str:
+def _format_rows(x: np.ndarray, labels: np.ndarray) -> str:
     """CSV text of one block: per row the ``repr`` of every feature value
-    (an empty cell where ``holes`` is set), then the label as ``0`` or ``1``,
-    joined by commas and ended by ``\\r\\n``: the bytes ``csv.writer`` gives
-    for these cells, which never need quoting.
+    (an empty cell for NaN), then the label as ``0`` or ``1``, joined by
+    commas and ended by ``\\r\\n``: the bytes ``csv.writer`` gives for these
+    cells, which never need quoting.
 
     When at least half the cells are exact ``+0.0`` or ``1.0``, as in a PLE
     table, or some cell is empty, the block is laid out as one uint32 code
@@ -289,11 +301,9 @@ def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) ->
     ``\\r``. Otherwise, as in a table of raw floats, every cell goes through
     ``repr`` row by row, which is faster there.
     """
-    if holes is not None and not holes.any():
-        holes = None
     zero = (x == 0.0) & ~np.signbit(x)
     one = x == 1.0
-    if holes is None and 2 * np.count_nonzero(zero | one) < x.size:
+    if 2 * np.count_nonzero(zero | one) < x.size and not np.isnan(x).any():
         tails = [",1\r\n" if y else ",0\r\n" for y in labels.tolist()]
         return "".join([",".join(map(repr, row)) + tail for row, tail in zip(x.tolist(), tails)])
     n, d = x.shape
@@ -301,17 +311,15 @@ def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) ->
     codes[:, d] = _SPLICED_LABEL
     codes[:, :d][zero] = _ZERO_CELL
     codes[:, :d][one] = _ONE_CELL
-    if holes is not None:
-        codes[:, :d][holes] = _SPLICED_CELL
     # The text of each spliced cell, in row-major order; one per row is the label.
     rows, cols = np.nonzero((codes == _SPLICED_CELL) | (codes == _SPLICED_LABEL))
     texts = np.empty(rows.size, dtype=object)
     label = cols == d
     texts[label] = ["1\r" if y else "0\r" for y in labels.tolist()]
     cell = np.flatnonzero(~label)
-    texts[cell] = _repr(x[rows[cell], cols[cell]])
-    if holes is not None:
-        texts[cell[holes[rows[cell], cols[cell]]]] = ""
+    values = x[rows[cell], cols[cell]]
+    texts[cell] = _repr(values)
+    texts[cell[np.isnan(values)]] = ""
     pieces = [""] * (2 * rows.size + 1)
     pieces[0::2] = codes.tobytes().decode("ascii").split("\0\0\0")
     pieces[1::2] = texts.tolist()
@@ -321,10 +329,10 @@ def _format_rows(x: np.ndarray, labels: np.ndarray, holes: np.ndarray | None) ->
 def write_csv(path, ds: Dataset, label: str = "label"):
     """Write a Dataset as CSV through ``csv_block_writer``: a ``csv.writer``
     header, then per row the ``repr`` of every feature value (an empty cell
-    where the missing mask is set) and the label as ``0`` or ``1``, ended by
+    for NaN) and the label as ``0`` or ``1``, ended by
     ``\\r\\n``. The file appears whole or not at all."""
     with csv_block_writer(path, ds.feature_names, label) as write:
-        write(ds.features, ds.labels, ds.missing_mask)
+        write(ds.features, ds.labels)
 
 
 def chronological_split(ds: Dataset, fractions=(0.6, 0.2, 0.2)) -> tuple[Dataset, Dataset, Dataset]:

@@ -28,7 +28,7 @@ PREDICT_BLOCK_ROWS = 1_024
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
-    hidden_dim: int
+    hidden_dim: int = 64
     kan_layers: int = 1
     gmlp_layers: int = 1
     grid_size: int = 5
@@ -56,9 +56,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "spline_range" in d:
-            d["spline_range"] = tuple(d["spline_range"])
         return cls(**d)
 
 

@@ -154,13 +154,13 @@ def train(
     history: list[EpochStats] = []
     best_snapshot = model.snapshot()
     best_epoch, best_ks, best_auc = -1, -np.inf, -np.inf
+    stopped_early = diverged = False
     start = time.perf_counter()
 
     for epoch in range(cfg.max_epochs):
         lr = lr_schedule(epoch, cfg)
         perm = rng.permutation(x_train.shape[0])
         loss_sum = 0.0
-        diverged = False
         for lo, hi in _minibatch_slices(perm.size, cfg.batch_size):
             idx = perm[lo:hi]
             xb, yb = x_train[idx], y_train[idx]
@@ -174,9 +174,8 @@ def train(
             adam_step(params, adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             loss_sum += loss * idx.size
         if diverged:
-            model.restore(best_snapshot)
-            return TrainResult(history, max(best_epoch, 0), best_ks, best_auc,
-                               stopped_early=False, diverged=True)
+            best_epoch = max(best_epoch, 0)
+            break
 
         valid_scores = model.predict(x_valid)
         valid_ks = metrics.ks(valid_scores, y_valid)
@@ -196,13 +195,12 @@ def train(
             best_snapshot = model.snapshot()
         if halt_requested:
             break
-        stop, _ = early_stop_check([h.valid_ks for h in history], cfg.patience)
-        if stop:
-            model.restore(best_snapshot)
-            return TrainResult(history, best_epoch, best_ks, best_auc, stopped_early=True)
+        stopped_early, _ = early_stop_check([h.valid_ks for h in history], cfg.patience)
+        if stopped_early:
+            break
 
     model.restore(best_snapshot)
-    return TrainResult(history, best_epoch, best_ks, best_auc, stopped_early=False)
+    return TrainResult(history, best_epoch, best_ks, best_auc, stopped_early, diverged)
 
 
 def derive_seed(base_seed: int, label: str) -> int:

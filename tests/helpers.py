@@ -7,6 +7,7 @@ vectors and evaluate single points through the library.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -86,18 +87,13 @@ def two_branch_sigmoid(x):
 
 def per_row_write_csv(path, ds, label="label"):
     """CSV bytes by the plain per-row formula: a ``csv.writer`` header, then
-    per row the ``repr`` of every feature value (an empty cell where the
-    missing mask is set) and the label as ``0`` or ``1``, joined by commas
-    and ended by ``\\r\\n``."""
-    holes = np.zeros(ds.n_rows, dtype=bool) if ds.missing_mask is None else ds.missing_mask.any(axis=1)
+    per row the ``repr`` of every feature value (an empty cell for NaN) and
+    the label as ``0`` or ``1``, joined by commas and ended by ``\\r\\n``."""
     labels = ["1" if y else "0" for y in ds.labels.tolist()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(ds.feature_names + [label])
-        for i, row in enumerate(ds.features):
-            cells = list(map(repr, row.tolist()))
-            if holes[i]:
-                for j in np.flatnonzero(ds.missing_mask[i]):
-                    cells[j] = ""
+        for i, row in enumerate(ds.features.tolist()):
+            cells = ["" if math.isnan(v) else repr(v) for v in row]
             cells.append(labels[i])
             fh.write(",".join(cells) + "\r\n")
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -129,6 +130,38 @@ class TestFit:
         stored = loaded.encoder.bins[0].boundaries
         assert np.array_equal(stored, fit_on_train.bins[0].boundaries)
         assert not np.array_equal(stored, refit.bins[0].boundaries)
+
+    def csv_triple(self, tmp_path, name, order=None):
+        """The synth splits as a CSV triple; valid and test with their columns
+        in ``order`` (an index list), or without the columns it leaves out."""
+        src = tmp_path / "data"
+        if not src.exists():
+            run_cli("synth", "--config", write_config(tmp_path), "--set", f"output_dir={src}")
+        paths = {"train": src / "train.csv"}
+        for split in ("valid", "test"):
+            ds = load_csv(src / f"{split}.csv")
+            keep = range(len(ds.feature_names)) if order is None else order
+            paths[split] = tmp_path / f"{name}.{split}.csv"
+            write_csv(paths[split], Dataset(ds.features[:, keep], ds.labels, [ds.feature_names[j] for j in keep]))
+        data = {"kind": "csv", **{k: str(v) for k, v in paths.items()}}
+        return write_config(tmp_path, name=f"{name}.json", output_dir=str(tmp_path / name), data=data)
+
+    def test_csv_triple_matched_by_name(self, tmp_path):
+        artifacts = []
+        for name, order in (("plain", None), ("permuted", [3, 0, 7, 5, 1, 6, 2, 4])):
+            assert run_cli("fit", "--config", self.csv_triple(tmp_path, name, order)) == 0
+            out = tmp_path / name
+            with zipfile.ZipFile(out / "model.ckpt") as zf:
+                arrays = {m: zf.read(m) for m in zf.namelist() if m.startswith("arrays/")}
+            artifacts.append(((out / "epochs.tsv").read_bytes(), arrays))
+        assert artifacts[0] == artifacts[1]
+        assert len(artifacts[0][1]) > 1
+
+    def test_csv_triple_missing_column_exits_two(self, tmp_path, capsys):
+        cfg = self.csv_triple(tmp_path, "dropped", order=list(range(1, 8)))
+        assert run_cli("fit", "--config", cfg) == 2
+        assert "dropped.valid.csv: feature columns are not the 8 training columns in some order: " \
+               "missing ['x00'], extra []" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -300,11 +333,9 @@ class TestEncode:
         n = 47
         features = np.column_stack([rng.normal(size=n), rng.exponential(2.0, size=n),
                                     rng.integers(0, 4, size=n).astype(float)])
-        mask = np.zeros(features.shape, dtype=bool)
-        mask[[2, 30], 0] = mask[[5, 46], 2] = True
-        features[mask] = np.nan
+        features[[2, 30], 0] = features[[5, 46], 2] = np.nan
         src = tmp_path / "in.csv"
-        write_csv(src, Dataset(features, (rng.random(n) < 0.4).astype(float), ["a", "b", "c"], missing_mask=mask))
+        write_csv(src, Dataset(features, (rng.random(n) < 0.4).astype(float), ["a", "b", "c"]))
         cfg = write_config(tmp_path, encoder={"kind": kind, "n_bins": 8, "categorical": ["c"]})
         monkeypatch.setattr(data, "WRITE_BLOCK_CELLS", 40)  # a few rows per block
         out = tmp_path / "encoded.csv"
@@ -438,6 +469,16 @@ class TestExitCodes:
         "model.grid_size=2.5",
         "train.batch_size=1",
         'model.dropout="x"',
+        "data.prevalence=2",
+        'data.columns="x"',
+        'data.signal_scale="a"',
+        "data.fractions=[0.5]",
+        "data.fractions=[0.6,0.6,0.2]",
+        "grid.dropout=5",
+        "grid.hidden_dim=[0]",
+        'data.ignore="x01"',
+        'encoder.categorical="x01"',
+        "encoder.n_bins=true",
     ])
     def test_bad_model_or_train_value_exits_one(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path)

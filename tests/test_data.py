@@ -1,7 +1,14 @@
+import csv
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
 from tkgmlp import data
@@ -37,13 +44,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty"):
             load_csv(path)
 
-    def test_missing_cell_sets_mask(self, tmp_path):
+    def test_missing_cell_is_nan(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("a,b,label\n1.0,,0\n2.0,3.0,1\n")
         ds = load_csv(path)
-        assert ds.missing_mask[0, 1]
-        assert not ds.missing_mask[1, 1]
-        assert np.isnan(ds.features[0, 1])
+        np.testing.assert_array_equal(np.isnan(ds.features), [[False, True], [False, False]])
+        assert ds.features[1, 1] == 3.0
 
     def test_unparseable_cell_reports_coordinates(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -70,6 +76,26 @@ class TestLoadCsv:
         assert ds.feature_names == ["a"]
         np.testing.assert_array_equal(ds.time_values, [3.0, 1.0])
 
+    @pytest.mark.parametrize("gap", ["5.0", ""], ids=["bulk", "scanner"])
+    def test_features_taken_by_name(self, tmp_path, gap):
+        path = tmp_path / "named.csv"
+        path.write_text(f"b,label,a,c\n1.0,0,2.0,3.0\n4.0,1,{gap},6.0\n")
+        ds = load_csv(path, features=["c", "a", "b"])
+        assert ds.feature_names == ["c", "a", "b"]
+        np.testing.assert_array_equal(ds.features, [[3.0, 2.0, 1.0], [6.0, float(gap or "nan"), 4.0]])
+
+    @pytest.mark.parametrize("header, features, message", [
+        ("a,c,label", ["a", "b"], "2 training columns in some order: missing ['b'], extra ['c']"),
+        ("a,label", ["a", "b"], "2 training columns in some order: missing ['b'], extra []"),
+        ("b,a,b,label", ["a", "b"], "2 training columns in some order: missing [], extra []"),
+        ("b,a,b,label", ["a", "b", "b"], "3 training columns in some order: missing [], extra []"),
+    ])
+    def test_features_by_name_must_match_the_header(self, tmp_path, header, features, message):
+        path = tmp_path / "named.csv"
+        path.write_text(header + "\n" + ",".join(["1.0"] * header.count(",") + ["0"]) + "\n")
+        with pytest.raises(DataError, match=rf"feature columns are not the {re.escape(message)}"):
+            load_csv(path, features=features)
+
     def test_write_read_roundtrip_bitexact(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(
@@ -88,14 +114,13 @@ class TestLoadCsv:
             features=np.array([[0.1, np.nan], [-2.5e-300, 3.0]]),
             labels=np.array([1.0, 0.0]),
             feature_names=["a", 'say "hi", b'],
-            missing_mask=np.array([[False, True], [False, False]]),
         )
         path = tmp_path / "out.csv"
         write_csv(path, ds)
         assert path.read_bytes() == b'a,"say ""hi"", b",label\r\n0.1,,1\r\n-2.5e-300,3.0,0\r\n'
         back = load_csv(path, label="label")
         assert back.feature_names == ["a", 'say "hi", b']
-        assert np.array_equal(back.missing_mask, ds.missing_mask)
+        assert np.array_equal(back.features, ds.features, equal_nan=True)
 
     def test_ignored_text_column_takes_bulk_parse(self, tmp_path, monkeypatch):
         path = tmp_path / "text.csv"
@@ -158,7 +183,7 @@ class TestLoadCsv:
         path.write_bytes(b"a,label,b\r\n" + body.encode())
         monkeypatch.setattr(data, "_parse_bulk", None)  # a bulk parse attempt fails
         ds = load_csv(path)
-        assert ds.missing_mask.sum() == 1
+        assert np.isnan(ds.features).sum() == 1
 
     def test_survey_counts_lines_and_spots_gap_across_chunks(self, tmp_path):
         head = b"a,label\r\n"
@@ -183,16 +208,36 @@ class TestLoadCsv:
         monkeypatch.setattr(data, "_scan_csv", None)
         parsed = load_csv(path, **kwargs)
         assert scanned.feature_names == parsed.feature_names == ["a", "b"]
-        for name in ("features", "labels", "time_values", "missing_mask"):
+        for name in ("features", "labels", "time_values"):
             assert np.array_equal(getattr(scanned, name), getattr(parsed, name))
 
-    def test_non_finite_only_where_mask_set(self):
-        features = np.array([[1.0, np.nan], [np.inf, 2.0]])
-        mask = np.array([[False, True], [False, False]])
-        with pytest.raises(DataError, match="non-finite"):
-            Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
-        mask[1, 0] = True
-        Dataset(features, np.array([0.0, 1.0]), ["a", "b"], missing_mask=mask)
+    @settings(max_examples=60, deadline=None)
+    @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                            elements=st.floats(allow_infinity=False)))
+    def test_nan_cells_roundtrip_as_empty_cells(self, table):
+        table[np.isnan(table)] = np.nan  # one NaN, whatever the sign and payload drawn
+        ds = Dataset(table, np.arange(table.shape[0]) % 2.0, [f"f{j}" for j in range(table.shape[1])])
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "gaps.csv"
+            write_csv(path, ds)
+            with open(path, newline="") as fh:
+                cells = np.array([row[:-1] for row in csv.reader(fh)][1:])
+            assert np.array_equal(cells == "", np.isnan(table))
+            scanned = data._scan_csv(path)
+            if not np.isnan(table).any():
+                mp.setattr(data, "_scan_csv", None)  # a clean file takes the bulk parse
+            for back in (scanned, load_csv(path)):
+                assert back.features.tobytes() == table.tobytes()
+                assert np.array_equal(back.labels, ds.labels)
+
+    def test_infinite_features_rejected(self):
+        features = np.array([[1.0, np.nan], [0.0, 2.0]])
+        for value in (np.inf, -np.inf):
+            features[1, 0] = value
+            with pytest.raises(DataError, match="infinite"):
+                Dataset(features, np.array([0.0, 1.0]), ["a", "b"])
+        features[1, 0] = np.nan  # NaN is a missing cell
+        Dataset(features, np.array([0.0, 1.0]), ["a", "b"])
 
 
 class TestWriteCsv:
@@ -203,15 +248,13 @@ class TestWriteCsv:
     def table(self, kind, masked, n=9, d=5):
         """Mostly exact 0.0/1.0 cells ("tokens") or mostly raw floats, the
         edge values in the first two rows, both labels, and optionally a
-        masked cell that keeps its value and a fully masked row of NaN."""
+        missing (NaN) cell and a fully missing row."""
         rng = np.random.default_rng(4)
         features = (rng.random((n, d)) < 0.5).astype(float) if kind == "tokens" else rng.normal(size=(n, d))
         features.flat[:len(self.EDGE_VALUES)] = self.EDGE_VALUES
-        mask = np.zeros((n, d), dtype=bool)
         if masked:
-            mask[2, 1] = mask[5] = True
-            features[5] = np.nan
-        return Dataset(features, np.arange(n) % 2.0, [f"f{j}" for j in range(d)], missing_mask=mask)
+            features[2, 1] = features[5] = np.nan
+        return Dataset(features, np.arange(n) % 2.0, [f"f{j}" for j in range(d)])
 
     def assert_matches_oracle(self, tmp_path, ds):
         write_csv(tmp_path / "block.csv", ds)

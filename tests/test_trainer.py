@@ -240,6 +240,7 @@ class TestTrain:
                        self.quick_cfg(max_epochs=5))
         assert result.diverged
         assert result.history == []
+        assert result.best_epoch == 0 and not result.stopped_early
 
 
 class TestDeriveSeed:
