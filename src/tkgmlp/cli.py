@@ -91,7 +91,11 @@ def _csv_columns(section: dict):
 
 
 def _resolve_splits(cfg: RunConfig):
-    """Returns (train, valid, test) Datasets plus per-split oracle probs (or None)."""
+    """Returns (train, valid, test) Datasets plus per-split oracle probs (or None).
+
+    The test file of a CSV train/valid/test triple is not read, as no
+    command that trains uses it: its test is None.
+    """
     section = cfg.data
     if section["kind"] == "synth":
         rows = section["rows"]
@@ -115,9 +119,9 @@ def _resolve_splits(cfg: RunConfig):
         splits = data_mod.chronological_split(ds, section.get("fractions", (0.6, 0.2, 0.2)))
         return (*splits, None)
     train = data_mod.load_csv(section["train"], label=label, time=time_col, ignore=ignore)
-    valid, test = (data_mod.load_csv(section[name], label=label, time=time_col, ignore=ignore,
-                                     features=train.feature_names) for name in ("valid", "test"))
-    return train, valid, test, None
+    valid = data_mod.load_csv(section["valid"], label=label, time=time_col, ignore=ignore,
+                              features=train.feature_names)
+    return train, valid, None, None
 
 
 def _fit_encoder(cfg: RunConfig, train_ds: data_mod.Dataset) -> EncoderSpec:

@@ -35,10 +35,12 @@ def _finite_number(value) -> bool:
     return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
-def require_int(name: str, value, low: int):
-    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def require_int(name: str, value, low: int | None):
+    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``low``
+    (any integer when ``low`` is None)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def require_number(name: str, value, test, text: str):
@@ -58,10 +60,15 @@ _GRID_KEYS = {"gmlp_layers", "kan_layers", "grid_size", "hidden_dim", "dropout"}
 _TOP_KEYS = {"seed", "output_dir", "data", "encoder", "model", "train", "grid"}
 
 
-def _check_keys(section: dict, allowed: set, where: str):
+def _object(section, where: str) -> dict:
+    """A copy of ``section``, which must be a JSON object."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
-    unknown = set(section) - allowed
+        raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
+    return dict(section)
+
+
+def _check_keys(section: dict, allowed: set, where: str):
+    unknown = set(_object(section, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
@@ -82,18 +89,19 @@ class RunConfig:
         cfg = cls(
             seed=doc.get("seed", 0),
             output_dir=doc.get("output_dir", "runs/out"),
-            data=dict(doc.get("data", {})),
-            encoder={"kind": "qle", "n_bins": DEFAULT_N_BINS} | dict(doc.get("encoder", {})),
-            model=dict(doc.get("model", {})),
-            train=dict(doc.get("train", {})),
-            grid=None if doc.get("grid") is None else dict(doc["grid"]),
+            data=_object(doc.get("data", {}), "data"),
+            encoder={"kind": "qle", "n_bins": DEFAULT_N_BINS} | _object(doc.get("encoder", {}), "encoder"),
+            model=_object(doc.get("model", {}), "model"),
+            train=_object(doc.get("train", {}), "train"),
+            grid=None if doc.get("grid") is None else _object(doc["grid"], "grid"),
         )
         cfg.validate()
         return cfg
 
     def validate(self):
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        require_int("seed", self.seed, None)
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         _check_keys(self.data, _DATA_KEYS, "data")
         _check_keys(self.encoder, _ENCODER_KEYS, "encoder")
         # Imported here: both modules import this one for ConfigError.
@@ -130,8 +138,10 @@ class RunConfig:
                 raise ConfigError("data: csv needs either 'path' (+fractions) or train/valid/test paths")
         else:
             rows = self.data.get("rows")
-            if not (isinstance(rows, list) and len(rows) == 3 and all(isinstance(r, int) and r > 0 for r in rows)):
+            if not (isinstance(rows, list) and len(rows) == 3):
                 raise ConfigError("data: synth needs rows = [n_train, n_valid, n_test]")
+            for r in rows:
+                require_int("data.rows", r, 1)
         if "columns" in self.data:
             require_int("data.columns", self.data["columns"], 1)
         if "prevalence" in self.data:

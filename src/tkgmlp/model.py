@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gmlp, kan, nn_core
 from .config import ConfigError, require_int, require_number, require_range
+from .spline import build_knots
 
 # Rows per inference forward in predict (timings in its docstring). At 1,024
 # rows the h=64 KAN basis of a block (1,024 x 32 x 8 float64) is 2 MiB and
@@ -45,6 +46,10 @@ class ModelConfig:
             raise ConfigError("kan_layers and gmlp_layers cannot both be 0")
         require_number("dropout", self.dropout, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
         require_range("spline_range", self.spline_range)
+        try:
+            build_knots(self.grid_size, self.spline_degree, self.spline_range)
+        except ValueError as exc:
+            raise ConfigError(f"spline_range must give a usable knot grid: {exc}") from None
         if not isinstance(self.dropout_after_each_kan, bool):
             raise ConfigError(f"dropout_after_each_kan must be true or false, got {self.dropout_after_each_kan!r}")
         object.__setattr__(self, "spline_range", tuple(float(v) for v in self.spline_range))

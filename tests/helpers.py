@@ -2,17 +2,19 @@
 metrics, per-row CSV writing and per-column encoding.
 
 These stay deliberately independent of the library code paths they check.
-The spline helpers at the end are not oracles: they build explicit knot
-vectors and evaluate single points through the library.
+The spline section at the end holds the Cox-de Boor recursion, the
+oracle for the library's per-cell polynomials over any knot vector, and
+two helpers that evaluate single points through the library.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, StandardizeSpec
-from tkgmlp.spline import KnotVector, basis_derivative_matrix, basis_matrix
+from tkgmlp.spline import basis_derivative_matrix, basis_matrix
 
 
 def finite_difference_grad(f, arr, eps=1e-5):
@@ -213,23 +215,85 @@ def per_column_transform(spec, features, row_offset=0):
     return out
 
 
+@dataclass(frozen=True)
+class Knots:
+    """Explicit non-decreasing knots u_0..u_m with degree p and interior
+    domain [a, b], for the recursion oracle; ``KnotVector`` has the same
+    three fields, so the oracle reads either."""
+
+    knots: np.ndarray
+    degree: int
+    domain: tuple[float, float]
+
+    @property
+    def n_basis(self) -> int:
+        return self.knots.size - 1 - self.degree
+
+
 def from_knots(knots, degree, domain=None):
-    """A KnotVector over explicit knots; the domain defaults to the interior
+    """Knots over an explicit vector; the domain defaults to the interior
     span [u_p, u_{m-p}]."""
     knots = np.asarray(knots, dtype=np.float64)
+    if knots.ndim != 1 or np.any(np.diff(knots) < 0.0):
+        raise ValueError("knots must be a non-decreasing vector")
     if degree < 0 or knots.size < degree + 2:
         raise ValueError("degree must be >= 0 with at least degree + 2 knots")
     if domain is None:
         m = knots.size - 1
         domain = (float(knots[degree]), float(knots[m - degree]))
-    return KnotVector(knots=knots, degree=degree, domain=domain)
+    return Knots(knots=knots, degree=degree, domain=domain)
+
+
+def _degree0(u, kv):
+    t = kv.knots
+    ind = ((u[:, None] >= t[:-1]) & (u[:, None] < t[1:])).astype(np.float64)
+    # points on the right domain edge belong to the interval that ends there
+    ends_at_b = np.flatnonzero(t[1:] == kv.domain[1])
+    at_b = u == kv.domain[1]
+    if ends_at_b.size and at_b.any():
+        ind[at_b] = 0.0
+        ind[at_b, ends_at_b[-1]] = 1.0
+    return ind
+
+
+def _ratio(num, den):
+    """num / den per basis column, 0 where den is 0 (the 0/0 convention)."""
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+
+
+def _recursion(u, kv, degree):
+    """The degree-``degree`` basis on kv's knots, raised from degree 0."""
+    t = kv.knots
+    basis = _degree0(u, kv)
+    for k in range(1, degree + 1):
+        left = _ratio(u[:, None] - t[: -(k + 1)], t[k:-1] - t[: -(k + 1)])
+        right = _ratio(t[k + 1 :] - u[:, None], t[k + 1 :] - t[1:-k])
+        basis = left * basis[:, :-1] + right * basis[:, 1:]
+    return basis
+
+
+def recursion_basis(u, kv):
+    """All N_{i,p}(u) by the Cox-de Boor recursion over any knot vector, a
+    term with a zero denominator contributing 0."""
+    return _recursion(np.asarray(u, dtype=np.float64).ravel(), kv, kv.degree)
+
+
+def recursion_derivative(u, kv):
+    """All dN_{i,p}/du = p/(u_{i+p}-u_i) N_{i,p-1} - p/(u_{i+p+1}-u_{i+1}) N_{i+1,p-1}."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    p, t = kv.degree, kv.knots
+    if p == 0:
+        return np.zeros((u.size, kv.n_basis))
+    lower = _recursion(u, kv, p - 1)
+    return p * (_ratio(lower[:, :-1], t[p:-1] - t[: -(p + 1)]) - _ratio(lower[:, 1:], t[p + 1 :] - t[1:-p]))
 
 
 def bspline_basis(u, kv):
-    """Basis vector N_{i,p}(u) at a single point."""
+    """Basis vector N_{i,p}(u) at a single point, through the library."""
     return basis_matrix([u], kv)[0]
 
 
 def bspline_basis_derivative(u, kv):
-    """Derivative vector dN_{i,p}/du at a single point (right-limit at knots)."""
+    """Derivative vector dN_{i,p}/du at a single point (right-limit at
+    knots), through the library."""
     return basis_derivative_matrix([u], kv)[0]

@@ -157,6 +157,15 @@ class TestFit:
         assert artifacts[0] == artifacts[1]
         assert len(artifacts[0][1]) > 1
 
+    def test_csv_triple_never_reads_test(self, tmp_path):
+        cfg = self.csv_triple(tmp_path, "triple")
+        assert run_cli("fit", "--config", cfg) == 0
+        ckpt = tmp_path / "triple" / "model.ckpt"
+        first = ckpt.read_bytes()
+        (tmp_path / "triple.test.csv").unlink()
+        assert run_cli("fit", "--config", cfg) == 0
+        assert ckpt.read_bytes() == first
+
     def test_csv_triple_missing_column_exits_two(self, tmp_path, capsys):
         cfg = self.csv_triple(tmp_path, "dropped", order=list(range(1, 8)))
         assert run_cli("fit", "--config", cfg) == 2

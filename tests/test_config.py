@@ -1,7 +1,10 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
+from tkgmlp.cli import main
 from tkgmlp.config import ConfigError, RunConfig, apply_overrides, load_config
 
 
@@ -71,12 +74,34 @@ class TestValidation:
         ("train", "lr0", float("inf")),
         ("train", "lr_decay_every", 0),
         ("train", "adam_beta2", 1.0),
+        (None, "seed", True),
+        (None, "output_dir", 5),
+        (None, "data", 5),
+        (None, "grid", "x"),
+        ("data", "rows", [True, 50, 50]),
     ])
     def test_bad_model_or_train_value(self, section, key, value):
+        # section None: a top-level key
         doc = synth_doc()
-        doc[section][key] = value
-        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+        (doc if section is None else doc[section])[key] = value
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
             RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("spline_range", [
+        [-1e308, 1e308],
+        [0.0, 1e-310],
+        [0.0, 5e-324],
+        [1e300, float(np.nextafter(1e300, np.inf))],
+    ])
+    def test_degenerate_spline_range_exits_one(self, tmp_path, capsys, spline_range):
+        """Ranges whose knots are not finite and strictly increasing, or
+        whose step has no finite inverse, fail as config errors."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(synth_doc(output_dir=str(tmp_path / "out"))))
+        assert main(["fit", "--config", str(path), "--set", f"model.spline_range={json.dumps(spline_range)}"]) == 1
+        assert "model.spline_range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_model_without_layers(self):
         doc = synth_doc()

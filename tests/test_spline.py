@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkgmlp.spline import (
-    KnotVector,
-    _recursion_basis_matrix,
-    basis_derivative_matrix,
-    basis_matrix,
-    build_knots,
-)
+from tkgmlp.spline import basis_derivative_matrix, basis_matrix, build_knots
 
-from .helpers import bspline_basis, bspline_basis_derivative, from_knots
+from .helpers import (
+    bspline_basis,
+    bspline_basis_derivative,
+    from_knots,
+    recursion_basis,
+    recursion_derivative,
+)
 
 
 class TestBuildKnots:
@@ -36,28 +36,42 @@ class TestBuildKnots:
             build_knots(5, 3, (1.0, 1.0))
         with pytest.raises(ValueError):
             build_knots(0, 3, (0.0, 1.0))
+        with pytest.raises(ValueError):
+            build_knots(5, -1, (0.0, 1.0))
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    @pytest.mark.parametrize("domain", [
+        (-1e308, 1e308),  # the step overflows
+        (0.0, 1e-310),  # 1/step overflows
+        (0.0, 5e-324),  # the step is 0
+        (1e300, float(np.nextafter(1e300, np.inf))),  # knots round onto each other
+    ])
+    def test_degenerate_range_rejected(self, domain, degree):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_knots(5, degree, domain)
 
 
 class TestDegreeZero:
     def test_indicator(self):
-        kv = from_knots([0.0, 1.0], degree=0)
+        kv = build_knots(1, 0, (0.0, 1.0))
         assert bspline_basis(0.5, kv)[0] == 1.0
         assert bspline_basis(1.5, kv)[0] == 0.0
 
     def test_right_edge_closed(self):
-        kv = from_knots([0.0, 1.0], degree=0)
+        kv = build_knots(1, 0, (0.0, 1.0))
         assert bspline_basis(1.0, kv)[0] == 1.0
 
     def test_left_of_domain_zero(self):
-        kv = from_knots([0.0, 1.0], degree=0)
+        kv = build_knots(1, 0, (0.0, 1.0))
         assert bspline_basis(-0.5, kv)[0] == 0.0
 
 
 class TestHatFunctions:
     def test_apex_value_by_recursion(self):
-        # N_{0,1} over knots (0,1,2) evaluated at the apex
-        kv = from_knots([0.0, 1.0, 2.0], degree=1)
-        assert bspline_basis(1.0, kv)[0] == 1.0
+        # N_{0,1} over knots (0,1,2) evaluated at the apex, by the oracle
+        # and by the library's hat over the same three knots
+        assert recursion_basis([1.0], from_knots([0.0, 1.0, 2.0], degree=1))[0, 0] == 1.0
+        assert bspline_basis(1.0, build_knots(2, 1, (0.0, 2.0)))[1] == 1.0
 
     def test_rising_edge_slope(self):
         kv = build_knots(4, 1, (0.0, 4.0))  # h = 1
@@ -108,26 +122,19 @@ class TestDerivative:
         assert np.abs(analytic - fd).max() / scale < 1e-6
 
     def test_degree_zero_derivative_is_zero(self):
-        kv = from_knots([0.0, 1.0], degree=0)
+        kv = build_knots(1, 0, (0.0, 1.0))
         assert np.all(basis_derivative_matrix([0.3, 0.9], kv) == 0.0)
 
 
-def _oracle_points(kv):
+def _oracle_points(kv, margin=0.5):
     """Every knot and its float neighbours, both domain ends, points beyond
-    the knot span, and random points over and past it."""
+    the knot span, and random points over it and ``margin`` past it."""
     t = kv.knots
     rng = np.random.default_rng(kv.knots.size + 10 * kv.degree)
     return np.concatenate([
         t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), list(kv.domain),
-        [t[0] - 1.0, t[-1] + 1.0, -1e6, 1e6], rng.uniform(t[0] - 0.5, t[-1] + 0.5, 300),
+        [t[0] - 1.0, t[-1] + 1.0, -1e6, 1e6], rng.uniform(t[0] - margin, t[-1] + margin, 300),
     ])
-
-
-def _recursion_only(kv):
-    """The same knot vector, evaluated by the Cox-de Boor recursion."""
-    rkv = KnotVector(kv.knots, kv.degree, kv.domain)
-    object.__setattr__(rkv, "_polys", None)
-    return rkv
 
 
 @pytest.mark.parametrize("grid_size", [1, 5, 10])
@@ -147,40 +154,55 @@ class TestFusedBasisOracle:
         kv = build_knots(grid_size, degree, (-1.0, 1.0))
         u = _oracle_points(kv)
         basis, deriv = basis_matrix(u, kv, with_derivative=True)
-        rkv = _recursion_only(kv)
-        r_deriv = basis_derivative_matrix(u, rkv)
-        np.testing.assert_allclose(basis, _recursion_basis_matrix(u, kv), rtol=0.0, atol=1e-13)
+        r_basis = recursion_basis(u, kv)
+        np.testing.assert_allclose(basis, r_basis, rtol=0.0, atol=1e-13)
+        if degree == 0:
+            assert np.array_equal(basis, r_basis)
         at_b = np.flatnonzero(u == kv.domain[1])
         assert np.allclose(basis[at_b].sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
         beyond = (u < kv.knots[0]) | (u > kv.knots[-1])
         assert np.all(basis[beyond] == 0.0) and np.all(deriv[beyond] == 0.0)
-        np.testing.assert_allclose(deriv, r_deriv, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(deriv, recursion_derivative(u, kv), rtol=0.0, atol=1e-12)
+
+    def test_rounding_skewed_range_matches_recursion(self, grid_size, degree):
+        # the knots of (100, 100.01) round off a uniform step, so the per-cell
+        # polynomials and the recursion part by rounding only
+        kv = build_knots(grid_size, degree, (100.0, 100.01))
+        u = _oracle_points(kv, margin=0.005)
+        basis, deriv = basis_matrix(u, kv, with_derivative=True)
+        assert np.abs(basis - recursion_basis(u, kv)).max() <= 1e-10
+        r_deriv = recursion_derivative(u, kv)
+        assert np.abs(deriv - r_deriv).max() <= 1e-10 * np.abs(r_deriv).max()
 
 
 class TestZeroDenominators:
+    """The oracle's 0/0 convention on repeated knots, which only it accepts."""
+
     def test_repeated_knots_no_nan(self):
         kv = from_knots([0.0, 0.0, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
-        vals = basis_matrix(np.linspace(0.0, 1.0, 11), kv)
+        vals = recursion_basis(np.linspace(0.0, 1.0, 11), kv)
         assert np.all(np.isfinite(vals))
 
     def test_repeated_knot_derivative_no_nan(self):
         kv = from_knots([0.0, 0.0, 0.5, 1.0, 1.0], degree=1, domain=(0.0, 1.0))
-        vals = basis_derivative_matrix(np.linspace(0.01, 0.99, 9), kv)
+        vals = recursion_derivative(np.linspace(0.01, 0.99, 9), kv)
         assert np.all(np.isfinite(vals))
 
 
 class TestKnotVectorValidation:
+    """The oracle's knot vectors; the library builds its own by build_knots."""
+
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector(np.array([0.0, 1.0, 0.5]), 0, (0.0, 0.5))
+            from_knots([0.0, 1.0, 0.5], 0, (0.0, 0.5))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector(np.array([0.0, 1.0]), -1, (0.0, 1.0))
+            from_knots([0.0, 1.0], -1, (0.0, 1.0))
 
     def test_too_few_knots_rejected(self):
         with pytest.raises(ValueError):
-            KnotVector(np.array([0.0, 1.0]), 1, (0.0, 1.0))
+            from_knots([0.0, 1.0], 1, (0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
