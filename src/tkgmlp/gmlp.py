@@ -66,8 +66,10 @@ def swiglu(x: np.ndarray, p: GmlpBlockParams):
     The cache (x, gate_pre, value_pre, sigmoid(gate_pre)) lets the backward
     pass rebuild silu and silu' of the gate without a second sigmoid.
     """
-    gate_pre = x @ p.gate.weight + p.gate.bias
-    value_pre = x @ p.value.weight + p.value.bias
+    gate_pre = x @ p.gate.weight
+    gate_pre += p.gate.bias
+    value_pre = x @ p.value.weight
+    value_pre += p.value.bias
     sig = nn_core.sigmoid(gate_pre)
     out = silu(gate_pre, sig)
     out *= value_pre

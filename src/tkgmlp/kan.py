@@ -23,6 +23,18 @@ from .nn_core import ShapeError, glorot_uniform, silu, silu_derivative
 # perfbench/tracer.py wraps
 from .spline import KnotVector, basis_derivative_matrix, basis_matrix, build_knots
 
+# Rows per block of the spline term of ``kan_backward``. Its product
+# (rows, in_dim, n_basis) is 8.4 MB over a 4,096-row batch of 32 inputs at
+# n_basis 8, and 0.5 MiB over a 256-row block. Measured as for
+# ``spline.BASIS_BLOCK_POINTS``, medians of 31, the whole backward on 4,096
+# rows of 32 inputs and 64 outputs: blocks of 256 / 512 / 1,024 / 2,048 rows
+# took 19.2 / 19.1 / 19.9 / 20.4 ms against 20.8 ms for the whole batch; at
+# 512 outputs every size was within noise of the whole batch (74-80 ms).
+# A remainder shorter than a block joins the block before it: OpenBLAS
+# multiplies one row, and at 512 outputs a few rows, by other kernels, whose
+# sums round differently from those of the whole-batch product.
+KAN_BACKWARD_BLOCK_ROWS = 256
+
 
 @dataclass
 class KanLayerParams(nn_core.ParameterHolder):
@@ -94,9 +106,9 @@ def kan_forward(x: np.ndarray, p: KanLayerParams, train: bool = True):
     Train mode returns the cache (x, sigmoid(x), basis, basis derivative,
     w_s * c); basis and derivative come from one cell lookup, and the
     backward pass rebuilds silu and silu' from the cached sigmoid. The basis
-    is built before sigmoid(x), so that none of this layer's other arrays is
-    alive while the basis holds its temporaries. Inference computes no
-    derivative and returns cache None.
+    holds its temporaries only for one block of ``spline.BASIS_BLOCK_POINTS``
+    points at a time, so its whole-batch arrays are its outputs alone.
+    Inference computes no derivative and returns cache None.
     """
     if x.ndim != 2 or x.shape[1] != p.in_dim:
         raise ShapeError(f"kan_forward: input {x.shape} does not match in_dim {p.in_dim}")
@@ -116,7 +128,11 @@ def kan_forward(x: np.ndarray, p: KanLayerParams, train: bool = True):
 
 
 def kan_backward(upstream: np.ndarray, cache, p: KanLayerParams) -> np.ndarray:
-    """Return dL/dx; accumulate dL/dw_b, dL/dw_s, dL/dc."""
+    """Return dL/dx; accumulate dL/dw_b, dL/dw_s, dL/dc.
+
+    The spline part of dL/dx goes ``KAN_BACKWARD_BLOCK_ROWS`` rows at a time
+    and gives the bits of one whole-batch product.
+    """
     x, sig, basis, dbasis, weighted = cache
     rows = x.shape[0]
     if upstream.shape != (rows, p.out_dim) or basis.shape != (rows, p.in_dim, p.kv.n_basis):
@@ -126,9 +142,15 @@ def kan_backward(upstream: np.ndarray, cache, p: KanLayerParams) -> np.ndarray:
     agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
     p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
     p.grad_coeffs += agg * p.spline_weight[:, :, None]
-    spline_dx = (upstream @ weighted).reshape(basis.shape)
-    spline_dx *= dbasis
     dx = silu_derivative(x, sig)
     dx *= upstream @ p.base_weight
-    dx += spline_dx.sum(axis=2)
+    # the spline term sum_i (upstream @ weighted)[r,p,i] * B_i'(x[r,p]) by
+    # row blocks, the last of which takes any remainder shorter than a block
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo < 2 * KAN_BACKWARD_BLOCK_ROWS else lo + KAN_BACKWARD_BLOCK_ROWS
+        spline_dx = (upstream[lo:hi] @ weighted).reshape(dbasis[lo:hi].shape)
+        spline_dx *= dbasis[lo:hi]
+        dx[lo:hi] += spline_dx.sum(axis=2)
+        lo = hi
     return dx

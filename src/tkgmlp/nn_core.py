@@ -202,13 +202,19 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
     if train:
         if x.shape[0] < 2:
             raise DegenerateBatchError("batch statistics need at least 2 rows in train mode")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        n = x.shape[0]
+        # the moments as x.mean and x.var form them, from one centred copy
+        mean = np.add.reduce(x, axis=0) / n
+        xhat = x - mean
+        out = np.multiply(xhat, xhat)
+        var = np.add.reduce(out, axis=0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         s.running_mean[...] = (1.0 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mean
         s.running_var[...] = (1.0 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var
-        return s.gamma * xhat + s.beta, (xhat, inv_std)
+        np.multiply(s.gamma, xhat, out=out)  # the squares' buffer, reused
+        out += s.beta
+        return out, (xhat, inv_std)
     inv_std = 1.0 / np.sqrt(s.running_var + BN_EPSILON)
     return s.gamma * (x - s.running_mean) * inv_std + s.beta, None
 
@@ -220,10 +226,20 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
     xhat, inv_std = cache
     if upstream.shape != xhat.shape:
         raise ShapeError("batchnorm_backward: upstream does not match cache")
-    s.grad_gamma += (upstream * xhat).sum(axis=0)
-    s.grad_beta += upstream.sum(axis=0)
+    n = upstream.shape[0]
+    # inv_std * (t - mean(t) - xhat * mean(t * xhat)) with t = upstream * gamma,
+    # each product formed in one reused buffer
+    prod = upstream * xhat
+    s.grad_gamma += np.add.reduce(prod, axis=0)
+    s.grad_beta += np.add.reduce(upstream, axis=0)
     t = upstream * s.gamma
-    return inv_std * (t - t.mean(axis=0) - xhat * (t * xhat).mean(axis=0))
+    np.multiply(t, xhat, out=prod)
+    t_xhat_mean = np.add.reduce(prod, axis=0) / n
+    t -= np.add.reduce(t, axis=0) / n
+    np.multiply(xhat, t_xhat_mean, out=prod)
+    t -= prod
+    t *= inv_std
+    return t
 
 
 def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None, train: bool):

@@ -13,6 +13,12 @@ and ``basis_matrix`` evaluates the basis, and in training its derivative
 too, from one cell lookup per point. Cells are half-open except that the
 cell ending at the right edge of the interior domain is closed there, so
 the partition of unity holds on the full closed domain.
+
+Each point's row depends on that point alone, so ``basis_matrix`` works in
+blocks of ``BASIS_BLOCK_POINTS`` points that fit in cache, and gives the
+bits one pass over all points would. A point beyond the knot span, however
+far (up to the largest float), takes basis and derivative 0 without a
+floating-point warning.
 """
 
 from __future__ import annotations
@@ -21,6 +27,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Points per block of ``basis_matrix``. At n_basis 8 (grid 5, degree 3) a
+# block's rows are 0.5 MiB per output table, so the p+1 passes over them
+# stay in a 2 MiB L2. Measured on a 2-core Xeon host (2 MiB L2 per core,
+# numpy 2.4.6), basis plus derivative of 131,072 points (a 4,096-row batch
+# of 32 inputs), medians of 15: blocks of 2,048 / 4,096 / 8,192 / 16,384 /
+# 32,768 points took 33.8 / 27.6 / 25.6 / 25.3 / 28.4 ms at grid 5 and
+# 29.9 / 24.9 / 24.3 / 26.5 / 28.5 ms at grid 10, against 37.7 and 37.9 ms
+# for the whole batch in one pass. The block is a point count, not a byte
+# budget: at grid 96 (n_basis 99) a 0.5 MiB budget (662 points) took 161 ms
+# against 110 ms at 8,192 points, as the per-block calls add up. Both are
+# slower there than one pass (92 ms), whose 104 MB outputs come zeroed from
+# the allocator; no configuration of the paper's grid search (grids 5 and
+# 10) comes near it.
+BASIS_BLOCK_POINTS = 8_192
 
 
 @dataclass(frozen=True)
@@ -107,15 +128,33 @@ def basis_matrix(u, kv: KnotVector, with_derivative: bool = False):
     lookup, as training needs both.
 
     Point n in cell c has non-zero values only at basis c - r for r = 0..p
-    (B-spline locality), so each offset r is one Horner pass over every
-    point, added into zeroed outputs at flat indices. An offset whose basis
+    (B-spline locality), so each offset r is one Horner pass over the
+    points, added into zeroed outputs at flat indices. An offset whose basis
     index falls outside 0..n_basis-1 (a point near or beyond the ends of the
     knot span) is clipped to the first index of its own row and carries 0,
-    so no value is gathered through a mask.
+    so no value is gathered through a mask. No point reads another, so the
+    points go ``BASIS_BLOCK_POINTS`` at a time, each block zeroing and
+    filling its own rows of the outputs while they sit in cache.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
+    tables = [(kv.segments, True)] + ([(kv.dsegments, False)] if with_derivative else [])
+    outs = [np.empty((u.size, kv.n_basis)) for _ in tables]
+    for lo in range(0, u.size, BASIS_BLOCK_POINTS):
+        hi = lo + BASIS_BLOCK_POINTS
+        _fill_block(u[lo:hi], kv, tables, [out[lo:hi] for out in outs])
+    return tuple(outs) if with_derivative else outs[0]
+
+
+def _fill_block(u, kv: KnotVector, tables, outs):
+    """Write the rows of ``basis_matrix`` for the points ``u`` into ``outs``,
+    one (points, n_basis) view per table of ``tables``."""
     p, nb = kv.degree, kv.n_basis
-    s = (u - kv.knots[0]) / kv.step
+    with np.errstate(over="ignore"):  # a far point's s may overflow to +-inf
+        s = (u - kv.knots[0]) / kv.step
+    # a point beyond the knot span by more than one step has no non-zero
+    # basis; clipping it to one step out keeps floor(s) inside int64 and
+    # every offset of the point out of span
+    np.clip(s, -1.0, kv.knots.size, out=s)
     if p <= 1:
         # the basis (p = 0) or its derivative (p = 1) jumps at every knot; a
         # point on a knot takes the cell to its right, however s rounds
@@ -134,8 +173,8 @@ def basis_matrix(u, kv: KnotVector, with_derivative: bool = False):
     base = np.arange(0, u.size * nb, nb)
     base += cell  # flat index of offset 0, basis c
     del cell
-    tables = [(kv.segments, True)] + ([(kv.dsegments, False)] if with_derivative else [])
-    outs = [np.zeros((u.size, nb)) for _ in tables]
+    for out in outs:
+        out[...] = 0.0
     for r in range(p + 1):
         idx = base - r
         invalid = edge[(edge_cell < r) | (edge_cell >= nb + r)]
@@ -150,7 +189,6 @@ def basis_matrix(u, kv: KnotVector, with_derivative: bool = False):
                 np.maximum(v, 0.0, out=v)
             v[invalid] = 0.0
             np.add.at(out.reshape(-1), idx, v)
-    return tuple(outs) if with_derivative else outs[0]
 
 
 def basis_derivative_matrix(u, kv: KnotVector) -> np.ndarray:

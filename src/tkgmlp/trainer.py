@@ -43,29 +43,66 @@ class TrainConfig:
         require_number("adam_eps", self.adam_eps, lambda v: v > 0.0, "> 0")
 
 
+# Elements per block of ``adam_step``: the six arrays of a block (the
+# parameter, its gradient, both moments and two scratch blocks) take
+# 1.5 MiB. Measured on a 2-core Xeon host (2 MiB L2 per core, numpy 2.4.6),
+# medians of 25, one step over the 690,753 parameters of an h=512 model:
+# blocks of 8,192 / 16,384 / 32,768 / 65,536 elements took 11.5 / 11.2 /
+# 10.3 / 10.8 ms, one block per parameter 13.0 ms and a fresh temporary per
+# operation 13.3 ms. At h=64 (29,057 parameters) each took 0.6-0.8 ms.
+ADAM_BLOCK_SIZE = 32_768
+
+
 class AdamState:
-    """First/second moment buffers aligned with a fixed parameter list."""
+    """First/second moment buffers aligned with a fixed parameter list, and
+    the two scratch blocks that hold each step's temporaries."""
 
     def __init__(self, params):
+        for p, g in params:
+            if not (p.flags.c_contiguous and g.flags.c_contiguous):
+                raise ValueError("adam_step updates parameters through flat views: "
+                                 "each parameter and gradient must be C-contiguous")
         self.m = [np.zeros_like(p) for p, _ in params]
         self.v = [np.zeros_like(p) for p, _ in params]
         self.t = 0
+        self.scratch = (np.empty(ADAM_BLOCK_SIZE), np.empty(ADAM_BLOCK_SIZE))
 
 
 def adam_step(params, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """p -= lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments."""
+    """p -= lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments.
+
+    Each parameter goes ``ADAM_BLOCK_SIZE`` elements at a time, so its
+    moments and the two scratch blocks stay in cache across the dozen passes
+    of the update. The passes form the same values in the same order as
+    m += (1 - beta1) grad, v += (1 - beta2) grad grad and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps).
+    """
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
+    a_block, b_block = state.scratch
     for (param, grad), m, v in zip(params, state.m, state.v):
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient for parameter of shape {param.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        flat = [arr.reshape(-1) for arr in (param, grad, m, v)]
+        for lo in range(0, param.size, ADAM_BLOCK_SIZE):
+            p_, g, m_, v_ = (arr[lo:lo + ADAM_BLOCK_SIZE] for arr in flat)
+            a, b = a_block[: g.size], b_block[: g.size]
+            np.multiply(1.0 - beta1, g, out=a)
+            m_ *= beta1
+            m_ += a
+            np.multiply(1.0 - beta2, g, out=a)
+            a *= g
+            v_ *= beta2
+            v_ += a
+            np.divide(m_, c1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v_, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p_ -= a
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:

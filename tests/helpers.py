@@ -2,9 +2,12 @@
 metrics, per-row CSV writing and per-column encoding.
 
 These stay deliberately independent of the library code paths they check.
-The spline section at the end holds the Cox-de Boor recursion, the
-oracle for the library's per-cell polynomials over any knot vector, and
-two helpers that evaluate single points through the library.
+The spline section holds the Cox-de Boor recursion, the oracle for the
+library's per-cell polynomials over any knot vector, and two helpers that
+evaluate single points through the library. The last section holds the
+train step's whole-batch formulas (the basis in one pass, batch norm, the
+KAN backward and Adam), which the library's blocked and buffer-reusing
+versions must reproduce bit for bit.
 """
 
 import csv
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, StandardizeSpec
+from tkgmlp.nn_core import silu, silu_derivative
 from tkgmlp.spline import basis_derivative_matrix, basis_matrix
 
 
@@ -297,3 +301,90 @@ def bspline_basis_derivative(u, kv):
     """Derivative vector dN_{i,p}/du at a single point (right-limit at
     knots), through the library."""
     return basis_derivative_matrix([u], kv)[0]
+
+
+def one_shot_basis_matrix(u, kv, with_derivative=False):
+    """``basis_matrix`` over all points in one pass, without the far-point
+    clip: the oracle for the blocked library evaluation, whose every value
+    it must reproduce bit for bit at points within int64 cells."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    p, nb = kv.degree, kv.n_basis
+    s = (u - kv.knots[0]) / kv.step
+    if p <= 1:
+        cell = np.searchsorted(kv.knots, u, side="right") - 1
+    else:
+        cell = np.floor(s).astype(np.int64)
+    at_b = u == kv.domain[1]
+    cell[at_b] = p + kv.grid_size - 1
+    frac = s - cell
+    edge = np.flatnonzero((cell < p) | (cell >= nb))
+    edge_cell = cell[edge]
+    base = np.arange(0, u.size * nb, nb) + cell
+    tables = [(kv.segments, True)] + ([(kv.dsegments, False)] if with_derivative else [])
+    outs = [np.zeros((u.size, nb)) for _ in tables]
+    for r in range(p + 1):
+        idx = base - r
+        invalid = edge[(edge_cell < r) | (edge_cell >= nb + r)]
+        idx[invalid] = invalid * nb
+        for out, (coeffs, clip) in zip(outs, tables):
+            c = coeffs[r]
+            v = np.full(frac.shape, c[-1])
+            for a in c[-2::-1]:
+                v *= frac
+                v += a
+            if clip:
+                np.maximum(v, 0.0, out=v)
+            v[invalid] = 0.0
+            np.add.at(out.reshape(-1), idx, v)
+    return tuple(outs) if with_derivative else outs[0]
+
+
+# Whole-batch formulas of the train step, the oracles for the library's
+# reused buffers and row blocks, which must give the same bits.
+
+def whole_batchnorm_forward(x, s, momentum=0.1, eps=1e-5):
+    """Train-mode batch norm by ``mean``/``var``; updates s's running stats."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    s.running_mean[...] = (1.0 - momentum) * s.running_mean + momentum * mean
+    s.running_var[...] = (1.0 - momentum) * s.running_var + momentum * var
+    return s.gamma * xhat + s.beta, (xhat, inv_std)
+
+
+def whole_batchnorm_backward(upstream, cache, s):
+    """dL/dx through train-mode batch norm; accumulates s's gradients."""
+    xhat, inv_std = cache
+    s.grad_gamma += (upstream * xhat).sum(axis=0)
+    s.grad_beta += upstream.sum(axis=0)
+    t = upstream * s.gamma
+    return inv_std * (t - t.mean(axis=0) - xhat * (t * xhat).mean(axis=0))
+
+
+def unblocked_kan_backward(upstream, cache, p):
+    """``kan_backward`` with the spline term over the whole batch at once."""
+    x, sig, basis, dbasis, weighted = cache
+    rows = x.shape[0]
+    p.grad_base_weight += upstream.T @ silu(x, sig)
+    agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
+    p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
+    p.grad_coeffs += agg * p.spline_weight[:, :, None]
+    spline_dx = (upstream @ weighted).reshape(basis.shape)
+    spline_dx *= dbasis
+    dx = silu_derivative(x, sig)
+    dx *= upstream @ p.base_weight
+    dx += spline_dx.sum(axis=2)
+    return dx
+
+
+def adam_reference(params, m_list, v_list, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step, t counted from 1, with a fresh temporary per operation."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for (param, grad), m, v in zip(params, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)

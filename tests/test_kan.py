@@ -7,7 +7,7 @@ from tkgmlp.kan import KanLayerParams, kan_backward, kan_forward, kan_init
 from tkgmlp.nn_core import ShapeError, silu
 from tkgmlp.spline import build_knots
 
-from .helpers import finite_difference_grad, rel_err
+from .helpers import finite_difference_grad, rel_err, unblocked_kan_backward
 
 
 def make_layer(in_dim=4, out_dim=3, grid_size=5, degree=3, seed=0):
@@ -131,6 +131,21 @@ class TestBackward:
         # composition oracle: d/dx [silu(x) W^T] = silu'(x) * (up @ W)
         expected = nn_core.silu_derivative(x) * (up @ p.base_weight)
         np.testing.assert_allclose(dx, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("out_dim", [3, 512])
+    @pytest.mark.parametrize("rows", [1, 255, 257, 4097])
+    def test_row_blocks_equal_whole_batch(self, rows, out_dim):
+        # 4,097 rows end in a one-row remainder, which BLAS would multiply by
+        # another kernel if it were a block of its own
+        layers = [make_layer(out_dim=out_dim, seed=5) for _ in range(2)]
+        rng = np.random.default_rng(rows)
+        x = rng.uniform(-1.5, 1.5, (rows, 4))
+        up = rng.normal(size=(rows, out_dim))
+        dx, dx_ref = (backward(up, kan_forward(x, p)[1], p)
+                      for backward, p in zip((kan_backward, unblocked_kan_backward), layers))
+        assert np.array_equal(dx, dx_ref)
+        for (_, _, grad), (_, _, grad_ref) in zip(*(p.named_arrays() for p in layers)):
+            assert np.array_equal(grad, grad_ref)
 
     def test_stale_cache_rejected(self):
         p = make_layer()

@@ -21,7 +21,13 @@ from tkgmlp.nn_core import (
     silu_derivative,
 )
 
-from .helpers import finite_difference_grad, rel_err, two_branch_sigmoid
+from .helpers import (
+    finite_difference_grad,
+    rel_err,
+    two_branch_sigmoid,
+    whole_batchnorm_backward,
+    whole_batchnorm_forward,
+)
 
 
 class TestBatchValidation:
@@ -184,6 +190,30 @@ class TestBatchNorm:
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="running_var"):
             BatchNormState(np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, -1e-9]))
+
+    @pytest.mark.parametrize("dim", [32, 64, 512])
+    @pytest.mark.parametrize("rows", [2, 3, 4097])
+    def test_train_pass_equals_whole_batch_formulas(self, dim, rows):
+        rng = np.random.default_rng(dim + rows)
+        x = rng.normal(1.5, 4.0, size=(rows, dim))
+        up = rng.normal(size=(rows, dim))
+        states = []
+        for _ in range(2):
+            s = BatchNormState.create(dim)
+            s.gamma[...] = np.linspace(-2.0, 3.0, dim)
+            s.beta[...] = np.linspace(1.0, -1.0, dim)
+            s.running_mean[...] = 0.25
+            s.grad_gamma[...] = 0.5
+            states.append(s)
+        lib, ref = states
+        y, cache = batchnorm_forward(x, lib, train=True)
+        y_ref, cache_ref = whole_batchnorm_forward(x, ref)
+        dx = batchnorm_backward(up, cache, lib)
+        dx_ref = whole_batchnorm_backward(up, cache_ref, ref)
+        for got, want in [(y, y_ref), *zip(cache, cache_ref), (dx, dx_ref),
+                          (lib.running_mean, ref.running_mean), (lib.running_var, ref.running_var),
+                          (lib.grad_gamma, ref.grad_gamma), (lib.grad_beta, ref.grad_beta)]:
+            assert np.array_equal(got, want)
 
 
 class TestDropout:

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkgmlp.spline import basis_derivative_matrix, basis_matrix, build_knots
+from tkgmlp.spline import BASIS_BLOCK_POINTS, basis_derivative_matrix, basis_matrix, build_knots
 
 from .helpers import (
     bspline_basis,
     bspline_basis_derivative,
     from_knots,
+    one_shot_basis_matrix,
     recursion_basis,
     recursion_derivative,
 )
@@ -173,6 +176,36 @@ class TestFusedBasisOracle:
         assert np.abs(basis - recursion_basis(u, kv)).max() <= 1e-10
         r_deriv = recursion_derivative(u, kv)
         assert np.abs(deriv - r_deriv).max() <= 1e-10 * np.abs(r_deriv).max()
+
+
+@pytest.mark.parametrize("grid_size", [1, 5, 10])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+class TestBlocks:
+    """``basis_matrix`` in blocks of ``BASIS_BLOCK_POINTS`` points against the
+    whole-batch oracle, and far points, which the blocks clip."""
+
+    @pytest.mark.parametrize("n", [0, 1, BASIS_BLOCK_POINTS - 1, BASIS_BLOCK_POINTS,
+                                   BASIS_BLOCK_POINTS + 1, 3 * BASIS_BLOCK_POINTS + 7])
+    def test_equals_one_shot_bit_for_bit(self, grid_size, degree, n):
+        kv = build_knots(grid_size, degree, (-1.0, 1.0))
+        u = np.resize(_oracle_points(kv), n)  # the oracle points, cycled
+        basis, deriv = basis_matrix(u, kv, with_derivative=True)
+        o_basis, o_deriv = one_shot_basis_matrix(u, kv, with_derivative=True)
+        assert np.array_equal(basis, o_basis) and np.array_equal(deriv, o_deriv)
+        assert np.array_equal(basis_matrix(u, kv), one_shot_basis_matrix(u, kv))
+        assert basis.shape == deriv.shape == (n, kv.n_basis)
+
+    def test_far_points_are_zero_without_warning(self, grid_size, degree):
+        big = np.finfo(np.float64).max
+        far = np.array([4e18, -4e18, 1e308, -1e308, big, -big])
+        kv = build_knots(grid_size, degree, (-1.0, 1.0))
+        u = np.concatenate([far, [0.3], far])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis, deriv = basis_matrix(u, kv, with_derivative=True)
+        rows = np.r_[0:6, 7:13]
+        assert np.all(basis[rows] == 0.0) and np.all(deriv[rows] == 0.0)
+        assert np.array_equal(basis[6], basis_matrix([0.3], kv)[0])
 
 
 class TestZeroDenominators:

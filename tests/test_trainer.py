@@ -6,6 +6,7 @@ from tkgmlp.metrics import UndefinedMetricError, ks
 from tkgmlp import model as model_module
 from tkgmlp.model import ModelConfig, TkgmlpModel, build_model
 from tkgmlp.trainer import (
+    ADAM_BLOCK_SIZE,
     AdamState,
     GridSpace,
     TrainConfig,
@@ -18,6 +19,8 @@ from tkgmlp.trainer import (
     train,
     _minibatch_slices,
 )
+
+from .helpers import adam_reference
 
 
 class TestAdam:
@@ -46,6 +49,31 @@ class TestAdam:
         adam_step([(p, g)], state, lr=0.01)
         # fixed point: m_hat -> g, v_hat -> g^2, step magnitude -> lr * sign(g)
         assert before - p[0] == pytest.approx(0.01, rel=1e-6)
+
+    def test_equals_fresh_temporaries_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        # one parameter spans three Adam blocks, the last one partial
+        shapes = [(2 * ADAM_BLOCK_SIZE + 5,), (64, 32, 8), (7, 3), ()]
+        sides = []
+        for _ in range(2):
+            r = np.random.default_rng(0)
+            sides.append([(r.normal(size=shape), np.zeros(shape)) for shape in shapes])
+        lib, ref = sides
+        state = AdamState(lib)
+        m_ref = [np.zeros(shape) for shape in shapes]
+        v_ref = [np.zeros(shape) for shape in shapes]
+        for t in range(1, 6):
+            for (_, g), (_, g_ref) in zip(lib, ref):
+                g[...] = g_ref[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 3)
+            adam_step(lib, state, lr=1e-3)
+            adam_reference(ref, m_ref, v_ref, t, lr=1e-3)
+        for (p, _), (p_ref, _), m, v, mr, vr in zip(lib, ref, state.m, state.v, m_ref, v_ref):
+            assert np.array_equal(p, p_ref) and np.array_equal(m, mr) and np.array_equal(v, vr)
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = np.zeros((3, 4)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            AdamState([(p, np.zeros_like(p))])
 
     def test_nan_gradient_aborts(self):
         p = np.array([0.0])
