@@ -21,6 +21,9 @@ from .nn_core import (
     batchnorm_forward,
     dropout_apply,
     dropout_backward,
+    # not called here (the lane may call no name that perfbench/tracer.py
+    # wraps); they stay importable as gmlp.silu and gmlp.silu_derivative,
+    # the names it wraps
     silu,
     silu_derivative,
 )
@@ -64,32 +67,58 @@ def swiglu(x: np.ndarray, p: GmlpBlockParams):
     """silu(x V + b1) * (x U + b2).
 
     The cache (x, gate_pre, value_pre, sigmoid(gate_pre)) lets the backward
-    pass rebuild silu and silu' of the gate without a second sigmoid.
+    pass rebuild silu and silu' of the gate without a second sigmoid. Each
+    row depends on its own row of x alone, so the rows go in two halves,
+    one on the lane (``nn_core.row_halves``).
     """
-    gate_pre = x @ p.gate.weight
-    gate_pre += p.gate.bias
-    value_pre = x @ p.value.weight
-    value_pre += p.value.bias
-    sig = nn_core.sigmoid(gate_pre)
-    out = silu(gate_pre, sig)
-    out *= value_pre
+    rows, width = x.shape[0], p.out_dim
+    gate_pre, value_pre, sig, out = (np.empty((rows, width)) for _ in range(4))
+
+    def part(lo, hi):
+        g, v, s, o = gate_pre[lo:hi], value_pre[lo:hi], sig[lo:hi], out[lo:hi]
+        np.matmul(x[lo:hi], p.gate.weight, out=g)
+        g += p.gate.bias
+        np.matmul(x[lo:hi], p.value.weight, out=v)
+        v += p.value.bias
+        nn_core.sigmoid_into(g, s, o)  # o is the sigmoid's scratch until it takes silu
+        np.multiply(g, s, out=o)
+        o *= v
+
+    nn_core.row_halves(part, rows)
     return out, (x, gate_pre, value_pre, sig)
 
 
 def swiglu_backward(upstream: np.ndarray, cache, p: GmlpBlockParams) -> np.ndarray:
+    """Accumulate the branch gradients; return dL/dx.
+
+    dgate, dvalue and dx go by row halves. The weight gradients sum over
+    rows, so they are two whole-batch products, one on the lane.
+    """
     x, gate_pre, value_pre, sig = cache
     if upstream.shape != gate_pre.shape:
         raise ShapeError("swiglu_backward: upstream does not match cache")
-    dgate = upstream * value_pre
-    dgate *= silu_derivative(gate_pre, sig)
-    dvalue = silu(gate_pre, sig)
-    dvalue *= upstream
-    p.gate.grad_weight += x.T @ dgate
+    rows = x.shape[0]
+    dgate, dvalue = np.empty_like(gate_pre), np.empty_like(gate_pre)
+    dx, value_dx = np.empty_like(x), np.empty_like(x)
+
+    def part(lo, hi):
+        up, dg, dv = upstream[lo:hi], dgate[lo:hi], dvalue[lo:hi]
+        nn_core.silu_derivative_into(gate_pre[lo:hi], sig[lo:hi], dv)  # dv holds silu' until it takes dvalue
+        np.multiply(up, value_pre[lo:hi], out=dg)
+        dg *= dv
+        np.multiply(gate_pre[lo:hi], sig[lo:hi], out=dv)
+        dv *= up
+        np.matmul(dg, p.gate.weight.T, out=dx[lo:hi])
+        np.matmul(dv, p.value.weight.T, out=value_dx[lo:hi])
+        dx[lo:hi] += value_dx[lo:hi]
+
+    nn_core.row_halves(part, rows)
+    gate_grad = np.empty_like(p.gate.weight)
+    _, value_grad = nn_core.both(lambda: np.matmul(x.T, dgate, out=gate_grad), lambda: x.T @ dvalue, rows)
+    p.gate.grad_weight += gate_grad
     p.gate.grad_bias += dgate.sum(axis=0)
-    p.value.grad_weight += x.T @ dvalue
+    p.value.grad_weight += value_grad
     p.value.grad_bias += dvalue.sum(axis=0)
-    dx = dgate @ p.gate.weight.T
-    dx += dvalue @ p.value.weight.T
     return dx
 
 

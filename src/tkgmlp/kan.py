@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core
+# silu and basis_derivative_matrix are not called here (the lane may call no
+# name that perfbench/tracer.py wraps, and the derivative comes with the
+# basis); they stay importable as kan.silu and kan.basis_derivative_matrix,
+# the names it wraps
 from .nn_core import ShapeError, glorot_uniform, silu, silu_derivative
-# basis_derivative_matrix is not called here (the derivative comes with the
-# basis); it stays importable as kan.basis_derivative_matrix, the name
-# perfbench/tracer.py wraps
 from .spline import KnotVector, basis_derivative_matrix, basis_matrix, build_knots
 
 # Rows per block of the spline term of ``kan_backward``. Its product
@@ -109,48 +110,74 @@ def kan_forward(x: np.ndarray, p: KanLayerParams, train: bool = True):
     holds its temporaries only for one block of ``spline.BASIS_BLOCK_POINTS``
     points at a time, so its whole-batch arrays are its outputs alone.
     Inference computes no derivative and returns cache None.
+
+    The sigmoid and the silu product run on the lane while the caller builds
+    the basis and its product; the two terms are added on the caller.
     """
     if x.ndim != 2 or x.shape[1] != p.in_dim:
         raise ShapeError(f"kan_forward: input {x.shape} does not match in_dim {p.in_dim}")
     rows = x.shape[0]
-    if train:
-        basis, dbasis = basis_matrix(x.ravel(), p.kv, with_derivative=True)
-    else:
-        basis = basis_matrix(x.ravel(), p.kv)
-    sig = nn_core.sigmoid(x)
-    y = silu(x, sig) @ p.base_weight.T
     weighted = (p.spline_weight[:, :, None] * p.coeffs).reshape(p.out_dim, -1)
-    y += basis.reshape(rows, -1) @ weighted.T
+    sig, silu_x, y = np.empty_like(x), np.empty_like(x), np.empty((rows, p.out_dim))
+
+    def base_term():
+        nn_core.sigmoid_into(x, sig, silu_x)  # silu_x is the sigmoid's scratch until it takes silu
+        np.multiply(x, sig, out=silu_x)
+        np.matmul(silu_x, p.base_weight.T, out=y)
+
+    def spline_term():
+        if train:
+            bases = basis_matrix(x.ravel(), p.kv, with_derivative=True)
+        else:
+            bases = (basis_matrix(x.ravel(), p.kv),)
+        return bases, bases[0].reshape(rows, -1) @ weighted.T
+
+    _, (bases, spline_y) = nn_core.both(base_term, spline_term, rows)
+    y += spline_y
     if not train:
         return y, None
-    nb = p.kv.n_basis
-    return y, (x, sig, basis.reshape(rows, p.in_dim, nb), dbasis.reshape(rows, p.in_dim, nb), weighted)
+    shape = (rows, p.in_dim, p.kv.n_basis)
+    return y, (x, sig, bases[0].reshape(shape), bases[1].reshape(shape), weighted)
 
 
 def kan_backward(upstream: np.ndarray, cache, p: KanLayerParams) -> np.ndarray:
     """Return dL/dx; accumulate dL/dw_b, dL/dw_s, dL/dc.
 
-    The spline part of dL/dx goes ``KAN_BACKWARD_BLOCK_ROWS`` rows at a time
-    and gives the bits of one whole-batch product.
+    The weight gradients' two products run on the lane while the caller
+    forms dL/dx; the caller adds them into the gradients. The spline part of
+    dL/dx goes ``KAN_BACKWARD_BLOCK_ROWS`` rows at a time and gives the bits
+    of one whole-batch product.
     """
     x, sig, basis, dbasis, weighted = cache
     rows = x.shape[0]
     if upstream.shape != (rows, p.out_dim) or basis.shape != (rows, p.in_dim, p.kv.n_basis):
         raise ShapeError("kan_backward: upstream/cache shapes do not match layer")
-    p.grad_base_weight += upstream.T @ silu(x, sig)
+    silu_x, base_grad = np.empty_like(x), np.empty_like(p.base_weight)
     # per-edge basis response aggregated over the batch
-    agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
+    agg = np.empty((p.out_dim, p.in_dim * p.kv.n_basis))
+
+    def weight_products():
+        np.multiply(x, sig, out=silu_x)
+        np.matmul(upstream.T, silu_x, out=base_grad)
+        np.matmul(upstream.T, basis.reshape(rows, -1), out=agg)
+
+    def input_grad():
+        dx = silu_derivative(x, sig)
+        dx *= upstream @ p.base_weight
+        # the spline term sum_i (upstream @ weighted)[r,p,i] * B_i'(x[r,p]) by
+        # row blocks, the last of which takes any remainder shorter than a block
+        lo = 0
+        while lo < rows:
+            hi = rows if rows - lo < 2 * KAN_BACKWARD_BLOCK_ROWS else lo + KAN_BACKWARD_BLOCK_ROWS
+            spline_dx = (upstream[lo:hi] @ weighted).reshape(dbasis[lo:hi].shape)
+            spline_dx *= dbasis[lo:hi]
+            dx[lo:hi] += spline_dx.sum(axis=2)
+            lo = hi
+        return dx
+
+    _, dx = nn_core.both(weight_products, input_grad, rows)
+    p.grad_base_weight += base_grad
+    agg = agg.reshape(p.out_dim, p.in_dim, -1)
     p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
     p.grad_coeffs += agg * p.spline_weight[:, :, None]
-    dx = silu_derivative(x, sig)
-    dx *= upstream @ p.base_weight
-    # the spline term sum_i (upstream @ weighted)[r,p,i] * B_i'(x[r,p]) by
-    # row blocks, the last of which takes any remainder shorter than a block
-    lo = 0
-    while lo < rows:
-        hi = rows if rows - lo < 2 * KAN_BACKWARD_BLOCK_ROWS else lo + KAN_BACKWARD_BLOCK_ROWS
-        spline_dx = (upstream[lo:hi] @ weighted).reshape(dbasis[lo:hi].shape)
-        spline_dx *= dbasis[lo:hi]
-        dx[lo:hi] += spline_dx.sum(axis=2)
-        lo = hi
     return dx

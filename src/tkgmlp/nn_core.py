@@ -5,10 +5,33 @@ its own gradient buffers so the training loop and the finite-difference
 checks can inspect each gradient directly. All functions are pure given
 their explicit inputs; randomness always comes in through a caller-owned
 ``numpy.random.Generator``.
+
+The lane. A train step has independent work that a second core can take
+without changing a bit: products that do not read each other's results,
+and elementwise work in which a row depends only on itself. ``both`` and
+``row_halves`` hand one of two such parts to the lane, which is one extra
+thread, started on first use, and run the other on the caller. Its contract:
+
+- one extra thread, created here and nowhere else in the package;
+- numpy only on the lane, writing large outputs through ``out=`` into
+  arrays that the caller allocated (so the thread's own malloc arena stays
+  small); it calls none of the names that the benchmark's span
+  tracer (perfbench/tracer.py) wraps, whose span stack all threads share,
+  so it takes ``sigmoid_into`` and ``silu_derivative_into``;
+- sums that combine the two parts run on the caller, after both ended, in
+  the fixed order of the single-lane code, so every result keeps its bits;
+- below ``LANE_MIN_ROWS`` rows both parts run on the caller, the whole
+  batch in one call, so inference blocks and small minibatches never start
+  the thread and a product is never split into a few-row slice (OpenBLAS
+  multiplies one row, and a few rows at 512 outputs, with other kernels,
+  whose sums round differently);
+- it assumes one BLAS thread: with more, the lane's and the caller's BLAS
+  calls compete for the same cores.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +39,19 @@ import numpy as np
 BCE_CLAMP_EPS = 1e-7
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_EPSILON = 1e-5  # added to every variance before its square root
+# Rows from which ``both`` and ``row_halves`` use the lane. Measured on a
+# 2-core Xeon host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), median
+# ms of a KAN layer (32 -> h) plus a SwiGLU (h -> h), forward and backward,
+# lane off / on, two runs each: at h=64, 1,024 rows 14.9, 21.6 / 16.2,
+# 17.2; 2,048 rows 40.6, 38.2 / 30.6, 28.8; 4,096 rows 76.9, 60.1 / 54.9,
+# 55.2. At h=512, 1,024 rows 161, 160 / 95, 94; 2,048 rows 287, 303 /
+# 173, 178; 4,096 rows 550, 574 / 348, 354. The h=64 inference of
+# ``TkgmlpModel.predict`` on 20,000 rows, in 1,024-row blocks, took 0.176,
+# 0.157 s with the lane off and 0.205, 0.216 s with it on.
+LANE_MIN_ROWS = 2_048
+
+_LANE = []  # the lane's one-worker executor, made on first use
+_LANE_LOCK = threading.Lock()
 
 
 class ShapeError(ValueError):
@@ -36,6 +72,48 @@ def as_batch(data, name: str = "batch") -> np.ndarray:
     return x
 
 
+def both(f, g, rows: int):
+    """(f(), g()) for a batch of ``rows`` rows: f on the lane and g on the
+    caller, or both on the caller below ``LANE_MIN_ROWS``.
+
+    An exception raised by f reaches the caller, type and message intact,
+    once g has returned; one raised by g once f has ended. ``np.errstate``
+    does not carry into a new thread, so work that relies on it (such as
+    ``spline.basis_matrix``) must be g, never f. f must not call ``both`` or
+    ``row_halves`` itself: the one worker would wait on itself.
+    """
+    if rows < LANE_MIN_ROWS:
+        return f(), g()
+    future = _lane().submit(f)
+    try:
+        second = g()
+    finally:
+        future.exception()  # waits: f writes the caller's arrays, so it ends before they are read or freed
+    return future.result(), second
+
+
+def _lane():
+    with _LANE_LOCK:
+        if not _LANE:
+            # imported here, so that scoring and encoding, which never use
+            # the lane, do not load concurrent.futures (0.6 MB of RSS)
+            from concurrent.futures import ThreadPoolExecutor
+
+            _LANE.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="tkgmlp-lane"))
+        return _LANE[0]
+
+
+def row_halves(fn, rows: int):
+    """fn(0, rows // 2) on the lane and fn(rows // 2, rows) on the caller, or
+    fn(0, rows) on the caller below ``LANE_MIN_ROWS``; fn writes its rows of
+    arrays the caller allocated."""
+    if rows < LANE_MIN_ROWS:
+        fn(0, rows)
+        return
+    half = rows // 2
+    both(lambda: fn(0, half), lambda: fn(half, rows), rows)
+
+
 def sigmoid(x):
     """Numerically stable logistic function, scalar or array.
 
@@ -45,14 +123,21 @@ def sigmoid(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     out = np.empty_like(arr)
+    sigmoid_into(arr, out, np.empty_like(arr))
+    return float(out) if arr.ndim == 0 else out
+
+
+def sigmoid_into(arr: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of a float64 array written into ``out``, with ``den`` (same
+    shape) as scratch; the lane's form, as it allocates no array of floats."""
     np.abs(arr, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)  # z
-    den = out + 1.0
+    np.add(out, 1.0, out=den)
     # numerator: 1 where x >= 0, else z; as z <= 1, a max picks it without a branch
     np.maximum(out, arr >= 0.0, out=out)
     np.divide(out, den, out=out)
-    return float(out) if arr.ndim == 0 else out
+    return out
 
 
 def silu(x, sig=None):
@@ -71,10 +156,15 @@ def silu_derivative(x, sig=None):
     s = sigmoid(x) if sig is None else sig
     if np.ndim(x) == 0:
         return s * (1.0 + float(x) * (1.0 - s))
-    out = 1.0 - s
+    return silu_derivative_into(x, s, np.empty(np.shape(s)))
+
+
+def silu_derivative_into(x, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``silu_derivative`` of an array written into ``out``, from its sigmoid."""
+    np.subtract(1.0, sig, out=out)
     out *= x
     out += 1.0
-    out *= s
+    out *= sig
     return out
 
 

@@ -7,7 +7,8 @@ library's per-cell polynomials over any knot vector, and two helpers that
 evaluate single points through the library. The last section holds the
 train step's whole-batch formulas (the basis in one pass, batch norm, the
 KAN backward and Adam), which the library's blocked and buffer-reusing
-versions must reproduce bit for bit.
+versions must reproduce bit for bit, and the single-lane SwiGLU and KAN
+passes, which the two-lane ones must reproduce bit for bit.
 """
 
 import csv
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tkgmlp import nn_core
 from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, StandardizeSpec
+from tkgmlp.kan import KAN_BACKWARD_BLOCK_ROWS
 from tkgmlp.nn_core import silu, silu_derivative
 from tkgmlp.spline import basis_derivative_matrix, basis_matrix
 
@@ -388,3 +391,67 @@ def adam_reference(params, m_list, v_list, t, lr, beta1=0.9, beta2=0.999, eps=1e
         v *= beta2
         v += (1.0 - beta2) * grad * grad
         param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+# The SwiGLU and KAN passes on one thread, as they were before the lane:
+# the oracles for the two-lane passes, which must give the same bits.
+
+def single_lane_swiglu(x, p):
+    gate_pre = x @ p.gate.weight
+    gate_pre += p.gate.bias
+    value_pre = x @ p.value.weight
+    value_pre += p.value.bias
+    sig = nn_core.sigmoid(gate_pre)
+    out = silu(gate_pre, sig)
+    out *= value_pre
+    return out, (x, gate_pre, value_pre, sig)
+
+
+def single_lane_swiglu_backward(upstream, cache, p):
+    x, gate_pre, value_pre, sig = cache
+    dgate = upstream * value_pre
+    dgate *= silu_derivative(gate_pre, sig)
+    dvalue = silu(gate_pre, sig)
+    dvalue *= upstream
+    p.gate.grad_weight += x.T @ dgate
+    p.gate.grad_bias += dgate.sum(axis=0)
+    p.value.grad_weight += x.T @ dvalue
+    p.value.grad_bias += dvalue.sum(axis=0)
+    dx = dgate @ p.gate.weight.T
+    dx += dvalue @ p.value.weight.T
+    return dx
+
+
+def single_lane_kan_forward(x, p, train=True):
+    rows = x.shape[0]
+    if train:
+        basis, dbasis = basis_matrix(x.ravel(), p.kv, with_derivative=True)
+    else:
+        basis = basis_matrix(x.ravel(), p.kv)
+    sig = nn_core.sigmoid(x)
+    y = silu(x, sig) @ p.base_weight.T
+    weighted = (p.spline_weight[:, :, None] * p.coeffs).reshape(p.out_dim, -1)
+    y += basis.reshape(rows, -1) @ weighted.T
+    if not train:
+        return y, None
+    nb = p.kv.n_basis
+    return y, (x, sig, basis.reshape(rows, p.in_dim, nb), dbasis.reshape(rows, p.in_dim, nb), weighted)
+
+
+def single_lane_kan_backward(upstream, cache, p):
+    x, sig, basis, dbasis, weighted = cache
+    rows = x.shape[0]
+    p.grad_base_weight += upstream.T @ silu(x, sig)
+    agg = (upstream.T @ basis.reshape(rows, -1)).reshape(p.out_dim, p.in_dim, -1)
+    p.grad_spline_weight += (agg * p.coeffs).sum(axis=2)
+    p.grad_coeffs += agg * p.spline_weight[:, :, None]
+    dx = silu_derivative(x, sig)
+    dx *= upstream @ p.base_weight
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo < 2 * KAN_BACKWARD_BLOCK_ROWS else lo + KAN_BACKWARD_BLOCK_ROWS
+        spline_dx = (upstream[lo:hi] @ weighted).reshape(dbasis[lo:hi].shape)
+        spline_dx *= dbasis[lo:hi]
+        dx[lo:hi] += spline_dx.sum(axis=2)
+        lo = hi
+    return dx

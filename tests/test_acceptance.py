@@ -339,3 +339,29 @@ def test_criterion_8_reproducibility(tmp_path):
 
     ok = all(first[name] == second[name] for name in artifacts)
     _verdict(8, "reproducibility", ok, "checkpoint, logs, and datasets byte-identical")
+
+
+def test_criterion_8_reproducibility_on_two_lanes(tmp_path):
+    # batch 4,096 >= nn_core.LANE_MIN_ROWS, so every train step runs its
+    # SwiGLU and KAN passes on the lane too; 8,192 train rows give two
+    # full batches per epoch
+    out_dir = tmp_path / "run"
+    doc = {
+        "seed": 321,
+        "output_dir": str(out_dir),
+        "data": {"kind": "synth", "rows": [8_192, 1_024, 256], "columns": 8, "prevalence": 0.2},
+        "encoder": {"kind": "qle", "n_bins": 16},
+        "model": {"hidden_dim": 32, "kan_layers": 1, "gmlp_layers": 2, "dropout": 0.3},
+        "train": {"batch_size": 4_096, "max_epochs": 2},
+    }
+    assert doc["train"]["batch_size"] >= nn_core.LANE_MIN_ROWS
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+
+    artifacts = ("model.ckpt", "epochs.tsv")
+    runs = []
+    for _ in range(2):
+        assert cli_main(["fit", "--config", str(cfg_path)]) == 0
+        runs.append({name: (out_dir / name).read_bytes() for name in artifacts})
+    ok = runs[0] == runs[1]
+    _verdict(8, "reproducibility on two lanes", ok, "checkpoint and epoch log byte-identical at batch 4,096")
