@@ -7,8 +7,9 @@ library's per-cell polynomials over any knot vector, and two helpers that
 evaluate single points through the library. The last section holds the
 train step's whole-batch formulas (the basis in one pass, batch norm, the
 KAN backward and Adam), which the library's blocked and buffer-reusing
-versions must reproduce bit for bit, and the single-lane SwiGLU and KAN
-passes, which the two-lane ones must reproduce bit for bit.
+versions must reproduce bit for bit, and the single-lane SwiGLU, KAN,
+batch-norm and dropout passes, which the two-lane ones must reproduce bit
+for bit.
 """
 
 import csv
@@ -20,7 +21,7 @@ import numpy as np
 from tkgmlp import nn_core
 from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, StandardizeSpec
 from tkgmlp.kan import KAN_BACKWARD_BLOCK_ROWS
-from tkgmlp.nn_core import silu, silu_derivative
+from tkgmlp.nn_core import BN_EPSILON, BN_MOMENTUM, DegenerateBatchError, ShapeError, silu, silu_derivative
 from tkgmlp.spline import basis_derivative_matrix, basis_matrix
 
 
@@ -455,3 +456,74 @@ def single_lane_kan_backward(upstream, cache, p):
         dx[lo:hi] += spline_dx.sum(axis=2)
         lo = hi
     return dx
+
+
+# Train-mode batch norm and dropout on one thread, whole batch, as they were
+# before ``nn_core.row_tiles``: the oracles for the tiled two-lane passes.
+
+def single_lane_batchnorm_forward(x, s, train):
+    if x.ndim != 2 or x.shape[1] != s.dim:
+        raise ShapeError(f"batchnorm: input {x.shape} does not match dim {s.dim}")
+    if train:
+        if x.shape[0] < 2:
+            raise DegenerateBatchError("batch statistics need at least 2 rows in train mode")
+        n = x.shape[0]
+        # the moments as x.mean and x.var form them, from one centred copy
+        mean = np.add.reduce(x, axis=0) / n
+        xhat = x - mean
+        out = np.multiply(xhat, xhat)
+        var = np.add.reduce(out, axis=0) / n
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        xhat *= inv_std
+        s.running_mean[...] = (1.0 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mean
+        s.running_var[...] = (1.0 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var
+        np.multiply(s.gamma, xhat, out=out)  # the squares' buffer, reused
+        out += s.beta
+        return out, (xhat, inv_std)
+    inv_std = 1.0 / np.sqrt(s.running_var + BN_EPSILON)
+    return s.gamma * (x - s.running_mean) * inv_std + s.beta, None
+
+
+def single_lane_batchnorm_backward(upstream, cache, s):
+    if cache is None:
+        raise ValueError("batchnorm_backward requires a train-mode cache")
+    xhat, inv_std = cache
+    if upstream.shape != xhat.shape:
+        raise ShapeError("batchnorm_backward: upstream does not match cache")
+    n = upstream.shape[0]
+    # inv_std * (t - mean(t) - xhat * mean(t * xhat)) with t = upstream * gamma,
+    # each product formed in one reused buffer
+    prod = upstream * xhat
+    s.grad_gamma += np.add.reduce(prod, axis=0)
+    s.grad_beta += np.add.reduce(upstream, axis=0)
+    t = upstream * s.gamma
+    np.multiply(t, xhat, out=prod)
+    t_xhat_mean = np.add.reduce(prod, axis=0) / n
+    t -= np.add.reduce(t, axis=0) / n
+    np.multiply(xhat, t_xhat_mean, out=prod)
+    t -= prod
+    t *= inv_std
+    return t
+
+
+def single_lane_dropout_apply(x, rate, rng, train):
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+    if not train or rate == 0.0:
+        return x, None
+    if rng is None:
+        raise ValueError("train-mode dropout needs an explicit rng")
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    y = x * keep
+    y *= scale
+    return y, (keep, scale)
+
+
+def single_lane_dropout_backward(upstream, mask):
+    if mask is None:
+        return upstream
+    keep, scale = mask
+    out = upstream * keep
+    out *= scale
+    return out

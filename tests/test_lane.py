@@ -1,11 +1,13 @@
-"""The lane: the second thread of the train step (``nn_core.both`` and
-``nn_core.row_halves``). The two-lane SwiGLU and KAN passes must give the
-bits of the single-lane ones at every batch size, errors raised on the lane
-must reach the caller, and only training may start the thread."""
+"""The lane: the second thread of the train step (``nn_core.both``,
+``nn_core.row_halves``, ``nn_core.row_tiles`` and ``nn_core.column_sums``).
+The two-lane SwiGLU, KAN, batch-norm and dropout passes must give the bits
+of the single-lane ones at every batch size, errors raised on the lane must
+reach the caller, and only training may start the thread."""
 
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,9 +17,24 @@ from tkgmlp import gmlp, kan, nn_core
 from tkgmlp.cli import main as cli_main
 from tkgmlp.gmlp import GmlpBlockParams, swiglu, swiglu_backward
 from tkgmlp.kan import kan_backward, kan_forward, kan_init
-from tkgmlp.nn_core import LANE_MIN_ROWS, ShapeError
+from tkgmlp.model import ModelConfig, build_model
+from tkgmlp.nn_core import (
+    LANE_MIN_ELEMENTS,
+    LANE_MIN_ROWS,
+    BatchNormState,
+    ShapeError,
+    batchnorm_backward,
+    batchnorm_forward,
+    dropout_apply,
+    dropout_backward,
+)
+from tkgmlp.spline import basis_matrix, build_knots
 
 from .helpers import (
+    single_lane_batchnorm_backward,
+    single_lane_batchnorm_forward,
+    single_lane_dropout_apply,
+    single_lane_dropout_backward,
     single_lane_kan_backward,
     single_lane_kan_forward,
     single_lane_swiglu,
@@ -29,6 +46,11 @@ from .test_cli import write_config
 # with kernels that round differently; 2,047 / 2,048 straddle LANE_MIN_ROWS
 ROWS = [2, 3, 1_023, 2_047, 2_048, 2_049, 4_096, 4_097]
 WIDTHS = [(4, 3), (32, 64), (64, 512)]
+# batch norm and dropout: from 2,047 x 256 on, the arrays reach
+# LANE_MIN_ELEMENTS, and halves such as 1,023 or 2,049 rows end in a tile
+# shorter than nn_core.TILE_ROWS
+ELEMENTWISE_ROWS = [2, 3, 2_047, 2_048, 2_049, 4_096, 4_097]
+ELEMENTWISE_WIDTHS = [32, 64, 256, 512]
 
 
 def _where(lo, hi, calls):
@@ -94,6 +116,18 @@ class TestErrors:
                 with pytest.raises(RuntimeWarning, match="divide by zero"):
                     nn_core.both(lambda: np.log(zeros), lambda: None, LANE_MIN_ROWS)
 
+    def test_basis_matrix_keeps_its_errstate_on_the_lane(self):
+        # basis_matrix enters its own np.errstate, so it runs on the lane as
+        # it does on the caller, even at points whose scaled cell overflows
+        kv = build_knots(5, 3)
+        u = np.array([-1e308, -1.5, -1.0, 0.3, 1.0, 1.5, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            on_lane, on_caller = nn_core.both(lambda: basis_matrix(u, kv, with_derivative=True),
+                                              lambda: basis_matrix(u, kv, with_derivative=True), LANE_MIN_ROWS)
+        _assert_equal_arrays(on_lane, on_caller)
+        assert np.all(on_lane[0][[0, -1]] == 0.0)
+
     def test_caller_error_waits_for_the_lane(self):
         done = []
 
@@ -150,6 +184,35 @@ class TestThreads:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("hidden, on_lane", [(64, False), (256, True)])
+    def test_batch_norm_and_dropout_reach_the_lane_only_above_the_gate(self, hidden, on_lane, monkeypatch):
+        # at h=64 (train-h64's arrays) batch norm and dropout hand nothing to
+        # the lane, though SwiGLU and KAN do; at h=256 they use it
+        rows = 4_096
+        lane_users = []
+        split = nn_core._split
+
+        def spy(f, g):
+            lane_users.append(sys._getframe(1).f_code.co_name)
+            return split(f, g)
+
+        monkeypatch.setattr(nn_core, "_split", spy)
+        model = build_model(ModelConfig(input_dim=8, hidden_dim=hidden, kan_layers=1, gmlp_layers=2, dropout=0.3),
+                            seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(rows, 8))
+        labels = (rng.random(rows) < 0.3).astype(np.float64)
+        model.zero_grads()
+        scores, cache = model.forward(x, train=True, rng=rng)
+        model.backward(nn_core.bce_loss(scores, labels)[1], cache)
+        elementwise = {"row_tiles", "column_sums"}
+        assert "both" in lane_users
+        assert (rows * hidden >= LANE_MIN_ELEMENTS) == on_lane
+        if on_lane:
+            assert elementwise <= set(lane_users)
+        else:
+            assert not elementwise & set(lane_users)
 
     def test_fit_subprocess_exits_and_leaves_no_process(self, tmp_path):
         cfg = write_config(tmp_path, data={"rows": [4_096, 512, 512]},
@@ -230,3 +293,100 @@ class TestBits:
         kan_backward(rng.normal(size=h.shape), kan_cache, layer)
         swiglu_backward(rng.normal(size=out.shape), cache, block)
         assert seen and all(on_caller for _, on_caller in seen)
+
+
+def _batchnorm_states(width, seed):
+    """Two equal batch-norm states with non-trivial parameters, running
+    statistics and gradients (which accumulate onto earlier ones)."""
+    rng = np.random.default_rng(seed)
+    start = {name: rng.uniform(0.5, 2.0, width) for name in ("gamma", "beta", "running_mean", "running_var")}
+    grads = rng.normal(size=(2, width))
+    states = []
+    for _ in range(2):
+        s = BatchNormState(**{name: arr.copy() for name, arr in start.items()})
+        s.grad_gamma[...], s.grad_beta[...] = grads
+        states.append(s)
+    return states
+
+
+def _state_arrays(s):
+    return [s.gamma, s.beta, s.running_mean, s.running_var, s.grad_gamma, s.grad_beta]
+
+
+class TestElementwiseBits:
+    def test_cases_straddle_the_gate(self):
+        sizes = [rows * width for rows in ELEMENTWISE_ROWS for width in ELEMENTWISE_WIDTHS]
+        assert min(sizes) < LANE_MIN_ELEMENTS <= max(sizes)
+        halves = [half for rows in ELEMENTWISE_ROWS if rows * 256 >= LANE_MIN_ELEMENTS
+                  for half in (rows // 2, rows - rows // 2)]
+        assert any(half % nn_core.TILE_ROWS for half in halves)  # a last tile shorter than a tile
+
+    @pytest.mark.parametrize("width", ELEMENTWISE_WIDTHS)
+    @pytest.mark.parametrize("rows", ELEMENTWISE_ROWS)
+    def test_batchnorm_equals_single_lane(self, rows, width):
+        rng = np.random.default_rng(rows * 7 + width)
+        x = rng.normal(3.0, 2.0, (rows, width))
+        up = rng.normal(size=(rows, width))
+        states = _batchnorm_states(width, rows)
+        out, cache = batchnorm_forward(x, states[0], train=True)
+        want_out, want_cache = single_lane_batchnorm_forward(x, states[1], train=True)
+        _assert_equal_arrays((out, *cache), (want_out, *want_cache))
+        _assert_equal_arrays(_state_arrays(states[0]), _state_arrays(states[1]))
+        dx = batchnorm_backward(up, cache, states[0])
+        want_dx = single_lane_batchnorm_backward(up, want_cache, states[1])
+        assert np.array_equal(dx, want_dx)
+        _assert_equal_arrays(_state_arrays(states[0]), _state_arrays(states[1]))
+
+    @pytest.mark.parametrize("width", ELEMENTWISE_WIDTHS)
+    @pytest.mark.parametrize("rows", ELEMENTWISE_ROWS)
+    def test_dropout_equals_single_lane(self, rows, width):
+        rng = np.random.default_rng(rows * 7 + width)
+        x = rng.normal(size=(rows, width))
+        up = rng.normal(size=(rows, width))
+        gens = [np.random.default_rng(rows + width) for _ in range(2)]
+        y, (keep, scale) = dropout_apply(x, 0.3, gens[0], train=True)
+        want_y, (want_keep, want_scale) = single_lane_dropout_apply(x, 0.3, gens[1], train=True)
+        _assert_equal_arrays((y, keep), (want_y, want_keep))
+        assert keep.dtype == want_keep.dtype and scale == want_scale
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert np.array_equal(dropout_backward(up, (keep, scale)), single_lane_dropout_backward(up, (keep, scale)))
+
+
+def _traced_peak(fn):
+    """Bytes allocated by fn() at its peak, on any thread."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_elementwise_peaks_hold_no_scratch_array():
+    # numpy's ufunc iterator takes a buffer of np.getbufsize() values for
+    # each call that broadcasts a vector or casts the bool mask, and frees
+    # it on return; the lane's call runs beside the caller's, so the
+    # two-lane peak may hold one such buffer more, plus the futures,
+    # closures and column-sum vectors (about 14 KB). A tile of scratch
+    # (1 MiB here) or a whole array (16 MiB) would exceed the allowance.
+    rows, width = 4_096, 512
+    assert rows * width >= LANE_MIN_ELEMENTS
+    allowance = np.getbufsize() * 8 + 32 * 1024
+    rng = np.random.default_rng(0)
+    x, up = rng.normal(size=(rows, width)), rng.normal(size=(rows, width))
+    s = BatchNormState.create(width)
+    cache = batchnorm_forward(x, s, train=True)[1]
+    mask = dropout_apply(x, 0.3, rng, train=True)[1]
+    pairs = {
+        "batchnorm_forward": (lambda: batchnorm_forward(x, s, train=True),
+                              lambda: single_lane_batchnorm_forward(x, s, train=True)),
+        "batchnorm_backward": (lambda: batchnorm_backward(up, cache, s),
+                               lambda: single_lane_batchnorm_backward(up, cache, s)),
+        "dropout_apply": (lambda: dropout_apply(x, 0.3, rng, train=True),
+                          lambda: single_lane_dropout_apply(x, 0.3, rng, train=True)),
+        "dropout_backward": (lambda: dropout_backward(up, mask), lambda: single_lane_dropout_backward(up, mask)),
+    }
+    for name, (tiled, single) in pairs.items():
+        tiled()  # the lane and numpy's caches exist before the measured calls
+        assert _traced_peak(tiled) <= _traced_peak(single) + allowance, name
