@@ -109,10 +109,11 @@ class TkgmlpModel(nn_core.ParameterHolder):
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
         """Return (scores, cache). Train mode draws dropout masks from ``rng``,
-        updates BN running stats and caches every layer for ``backward``.
-        Inference is deterministic and keeps no layer caches, so each layer's
-        arrays are freed as the pass moves on; its cache only records that it
-        came from inference."""
+        updates BN running stats and caches every layer for ``backward``; a
+        train cache serves one backward, which empties it. Inference is
+        deterministic and keeps no layer caches, so each layer's arrays are
+        freed as the pass moves on; its cache only records that it came from
+        inference."""
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise nn_core.ShapeError(f"forward: input {x.shape} does not match input_dim {self.cfg.input_dim}")
         h, bn_cache = nn_core.batchnorm_forward(x, self.input_bn, train)
@@ -164,17 +165,29 @@ class TkgmlpModel(nn_core.ParameterHolder):
         return scores
 
     def backward(self, dscores: np.ndarray, cache) -> np.ndarray:
-        """Accumulate all parameter gradients from dL/dscores; return dL/dx."""
+        """Accumulate all parameter gradients from dL/dscores; return dL/dx.
+
+        Backward consumes its train cache: it empties the dict on entry and
+        lets each layer's arrays go once that layer is done. So a loop that
+        keeps ``cache`` bound until the next forward returns holds one step
+        of activations, not two. A second backward on the same cache raises
+        ``ValueError``."""
+        if not cache:
+            raise ValueError("backward has already consumed this cache: a train cache serves one backward")
         if not cache["train"]:
             raise ValueError("backward needs a train-mode cache")
-        p = cache["scores"]
+        layers = cache.copy()
+        cache.clear()
+        p = layers.pop("scores")
         dlogits = (dscores * p * (1.0 - p))[:, None]
-        dh = nn_core.linear_backward(dlogits, cache["head"], self.head)
-        for block, gc in zip(reversed(self.gmlp_stack), reversed(cache["gmlp"])):
-            dh = gmlp.gmlp_block_backward(dh, gc, block)
-        for layer, (kc, mask) in zip(reversed(self.kan_stack), reversed(cache["kan"])):
+        dh = nn_core.linear_backward(dlogits, layers.pop("head"), self.head)
+        gmlp_caches, kan_caches = layers.pop("gmlp"), layers.pop("kan")
+        for block in reversed(self.gmlp_stack):
+            dh = gmlp.gmlp_block_backward(dh, gmlp_caches.pop(), block)
+        for layer in reversed(self.kan_stack):
+            kc, mask = kan_caches.pop()
             dh = kan.kan_backward(nn_core.dropout_backward(dh, mask), kc, layer)
-        return nn_core.batchnorm_backward(dh, cache["bn"], self.input_bn)
+        return nn_core.batchnorm_backward(dh, layers.pop("bn"), self.input_bn)
 
 
 def build_model(cfg: ModelConfig, seed: int) -> TkgmlpModel:

@@ -173,6 +173,11 @@ def train(
     ``on_epoch`` receives each EpochStats as it is produced (for logging);
     returning a truthy value halts training after that epoch (external
     control, e.g. a time or target budget), with the best snapshot restored.
+
+    Training calls ``nn_core.keep_freed_pages`` first, which changes the C
+    allocator for the whole process, for good: memory that it frees stays
+    with the process for reuse, so each step's activations are not faulted
+    in afresh.
     """
     x_train, y_train = train_data
     x_valid, y_valid = valid_data
@@ -185,6 +190,7 @@ def train(
     if len({0.0, 1.0} & set(np.unique(y_valid))) < 2:
         raise metrics.UndefinedMetricError("validation split needs both classes")
 
+    nn_core.keep_freed_pages()
     rng = np.random.default_rng(cfg.seed)
     params = model.trainable_parameters()
     adam = AdamState(params)

@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, ECDF comparisons, brute-force
-metrics, per-row CSV writing and per-column encoding.
+metrics, per-row CSV writing and per-column encoding, and a tracemalloc
+peak for memory guards.
 
 These stay deliberately independent of the library code paths they check.
 The spline section holds the Cox-de Boor recursion, the oracle for the
@@ -14,6 +15,7 @@ for bit.
 
 import csv
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,17 @@ from tkgmlp.encoders import BinSpec, DomainError, EncoderSpec, OneHotSpec, Stand
 from tkgmlp.kan import KAN_BACKWARD_BLOCK_ROWS
 from tkgmlp.nn_core import BN_EPSILON, BN_MOMENTUM, DegenerateBatchError, ShapeError, silu, silu_derivative
 from tkgmlp.spline import basis_derivative_matrix, basis_matrix
+
+
+def traced_peak(fn):
+    """Bytes allocated by fn() at its peak, on any thread."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference_grad(f, arr, eps=1e-5):

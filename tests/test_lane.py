@@ -7,7 +7,6 @@ reach the caller, and only training may start the thread."""
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +38,7 @@ from .helpers import (
     single_lane_kan_forward,
     single_lane_swiglu,
     single_lane_swiglu_backward,
+    traced_peak,
 )
 from .test_cli import write_config
 
@@ -352,17 +352,6 @@ class TestElementwiseBits:
         assert np.array_equal(dropout_backward(up, (keep, scale)), single_lane_dropout_backward(up, (keep, scale)))
 
 
-def _traced_peak(fn):
-    """Bytes allocated by fn() at its peak, on any thread."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_elementwise_peaks_hold_no_scratch_array():
     # numpy's ufunc iterator takes a buffer of np.getbufsize() values for
     # each call that broadcasts a vector or casts the bool mask, and frees
@@ -389,4 +378,4 @@ def test_elementwise_peaks_hold_no_scratch_array():
     }
     for name, (tiled, single) in pairs.items():
         tiled()  # the lane and numpy's caches exist before the measured calls
-        assert _traced_peak(tiled) <= _traced_peak(single) + allowance, name
+        assert traced_peak(tiled) <= traced_peak(single) + allowance, name

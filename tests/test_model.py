@@ -167,6 +167,25 @@ class TestBackward:
         with pytest.raises(ValueError):
             m.backward(np.zeros(4), cache)
 
+    def test_backward_empties_the_cache(self):
+        m = build_model(tiny_config(kan_layers=2, gmlp_layers=2, dropout=0.3), seed=0)
+        x = np.random.default_rng(0).normal(size=(6, 6))
+        _, cache = m.forward(x, train=True, rng=np.random.default_rng(0))
+        m.backward(np.ones(6), cache)
+        assert cache == {}
+
+    def test_second_backward_on_a_cache_raises(self):
+        m = build_model(tiny_config(dropout=0.3), seed=0)
+        x = np.random.default_rng(0).normal(size=(6, 6))
+        _, cache = m.forward(x, train=True, rng=np.random.default_rng(0))
+        m.zero_grads()
+        m.backward(np.ones(6), cache)
+        grads = [grad.copy() for _, grad in m.trainable_parameters()]
+        with pytest.raises(ValueError, match="already consumed"):
+            m.backward(np.ones(6), cache)
+        for (_, grad), before in zip(m.trainable_parameters(), grads):
+            assert np.array_equal(grad, before)
+
     def test_composition_matches_manual_layers(self):
         # model backward equals composing the module-level backwards by hand
         m = build_model(tiny_config(kan_layers=1, gmlp_layers=1, dropout=0.3), seed=7)

@@ -1,6 +1,14 @@
+import ctypes
+import json
+import os
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 
+from tkgmlp import nn_core
 from tkgmlp.config import ConfigError
 from tkgmlp.metrics import UndefinedMetricError, ks
 from tkgmlp import model as model_module
@@ -20,7 +28,7 @@ from tkgmlp.trainer import (
     _minibatch_slices,
 )
 
-from .helpers import adam_reference
+from .helpers import adam_reference, traced_peak
 
 
 class TestAdam:
@@ -269,6 +277,92 @@ class TestTrain:
         assert result.diverged
         assert result.history == []
         assert result.best_epoch == 0 and not result.stopped_early
+
+
+# Runs trainer.train at h=64 on six 4,096-row minibatches for two epochs
+# and prints, as JSON, whether keep_freed_pages took and the minor page
+# faults (ru_minflt, every thread) between consecutive steps of the second
+# epoch, counted at each zero_grads call.
+PAGE_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from tkgmlp import nn_core, trainer
+from tkgmlp.model import ModelConfig, build_model
+
+rng = np.random.default_rng(0)
+x, xv = rng.normal(size=(6 * 4_096, 32)), rng.normal(size=(1_000, 32))
+y, yv = (x[:, 0] > 0).astype(float), (xv[:, 0] > 0).astype(float)
+model = build_model(ModelConfig(input_dim=32, hidden_dim=64, kan_layers=1, gmlp_layers=2, dropout=0.3), seed=0)
+epochs, zero_grads = [[]], model.zero_grads
+
+def counted_zero_grads():
+    epochs[-1].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    zero_grads()
+
+model.zero_grads = counted_zero_grads
+trainer.train(model, (x, y), (xv, yv), trainer.TrainConfig(batch_size=4_096, max_epochs=2),
+              on_epoch=lambda stats: epochs.append([]))
+print(json.dumps({"kept": nn_core.keep_freed_pages(), "faults": np.diff(epochs[1]).tolist()}))
+"""
+# Steady-state minor faults allowed per h=64 step: the pages of one 4,096 x
+# 64 float64 array. With the freed pages kept a step faults 0 times; with
+# glibc's default thresholds it faults 7,600-8,700 times, its whole cache.
+STEADY_FAULTS_PER_STEP = 512
+
+
+class TestMemory:
+    def test_step_loop_holds_one_step_of_activations(self):
+        # the trainer's loop keeps ``cache`` bound until the next forward
+        # returns; backward empties it, so the loop's peak is one step's. The
+        # allowance, a quarter of one 4,096 x 128 array, covers the lane's
+        # ufunc buffers; a second step's cache (about 51 MB here) exceeds it.
+        model = build_model(ModelConfig(input_dim=32, hidden_dim=128, kan_layers=1, gmlp_layers=2, dropout=0.3),
+                            seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4_096, 32))
+        y = (rng.random(4_096) < 0.3).astype(float)
+        params = model.trainable_parameters()
+        adam = AdamState(params)
+
+        def steps(n):
+            for _ in range(n):
+                model.zero_grads()
+                scores, cache = model.forward(x, train=True, rng=rng)
+                model.backward(nn_core.bce_loss(scores, y)[1], cache)
+                adam_step(params, adam, 1e-3)
+
+        steps(1)  # the lane, numpy's caches and Adam's moments exist before the measured calls
+        allowance = 1 << 20
+        assert traced_peak(lambda: steps(3)) <= traced_peak(lambda: steps(1)) + allowance
+
+    def test_steady_steps_do_not_fault(self):
+        # in a fresh process, so that the allocator starts from glibc's
+        # defaults; MALLOC_* variables would set the thresholds themselves
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", PAGE_FAULT_PROBE], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        if not probe["kept"]:
+            pytest.skip("the C library has no mallopt, or refused the settings")
+        assert len(probe["faults"]) == 5
+        assert np.median(probe["faults"]) <= STEADY_FAULTS_PER_STEP, probe["faults"]
+
+    @pytest.mark.parametrize("libc", [None, types.SimpleNamespace()], ids=["no libc handle", "no mallopt"])
+    def test_keep_freed_pages_is_a_no_op_without_mallopt(self, libc, monkeypatch):
+        def cdll(name):
+            if libc is None:
+                raise OSError("no C library")
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert nn_core.keep_freed_pages.__wrapped__() is False
+
+    def test_keep_freed_pages_answers_once(self, monkeypatch):
+        first = nn_core.keep_freed_pages()
+        monkeypatch.setattr(ctypes, "CDLL", None)  # a second call would fail here
+        assert nn_core.keep_freed_pages() is first
 
 
 class TestDeriveSeed:
