@@ -3,7 +3,9 @@
 One zip file holding a `meta.json` member (format version, run-config echo,
 fitted encoder statistics, model config, best-epoch metadata) plus one
 binary `.npy` member per model array. Member timestamps and ordering are
-fixed so identical runs produce byte-identical files.
+fixed so identical runs produce byte-identical files, at one BLAS thread
+count: OpenBLAS splits a product's sums by its thread count, so runs with
+different counts train different bits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .encoders import EncoderSpec
 from .model import ModelConfig, TkgmlpModel, build_model
 
 FORMAT_VERSION = 1
+# the members of meta.json that load_checkpoint reads, with their JSON types
+_META_KEYS = (("run_config", dict), ("encoder", dict), ("model_config", dict), ("best", dict), ("arrays", list))
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -71,12 +75,29 @@ def load_checkpoint(path) -> Checkpoint:
             meta = json.loads(zf.read("meta.json"))
         except KeyError:
             raise CheckpointError(f"{path}: missing meta.json member") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CheckpointError(f"{path}: meta.json is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: meta.json must hold an object, got {type(meta).__name__}")
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version!r} not supported (expected {FORMAT_VERSION})"
             )
-        cfg = ModelConfig.from_dict(meta["model_config"])
+        for key, kind in _META_KEYS:
+            if key not in meta:
+                raise CheckpointError(f"{path}: meta.json lacks {key!r}")
+            if not isinstance(meta[key], kind):
+                got = type(meta[key]).__name__
+                raise CheckpointError(f"{path}: meta.json {key} must be a {kind.__name__}, got {got}")
+        try:
+            cfg = ModelConfig.from_dict(meta["model_config"])
+        except (TypeError, ValueError) as exc:  # ValueError covers ConfigError
+            raise CheckpointError(f"{path}: invalid model_config: {exc}") from None
+        try:
+            encoder = EncoderSpec.from_dict(meta["encoder"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: invalid encoder: {type(exc).__name__}: {exc}") from None
         model = build_model(cfg, seed=0)
         stored = {}
         for name in meta["arrays"]:
@@ -108,7 +129,7 @@ def load_checkpoint(path) -> Checkpoint:
         return Checkpoint(
             version=version,
             run_config=meta["run_config"],
-            encoder=EncoderSpec.from_dict(meta["encoder"]),
+            encoder=encoder,
             model=model,
             best=meta["best"],
         )

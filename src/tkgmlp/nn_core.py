@@ -8,9 +8,11 @@ their explicit inputs; randomness always comes in through a caller-owned
 
 The lane. A train step has independent work that a second core can take
 without changing a bit: products that do not read each other's results,
-and elementwise work in which a row depends only on itself. ``both`` and
-``row_halves`` hand one of two such parts to the lane, which is one extra
-thread, started on first use, and run the other on the caller. Its contract:
+and elementwise work in which a row depends only on itself, such as the
+passes of train-mode batch norm and dropout between their column sums.
+``both`` and ``row_halves`` hand one of two such parts to the lane, which
+is one extra thread, started on first use, and run the other on the
+caller. Its contract:
 
 - one extra thread, created here and nowhere else in the package;
 - numpy only on the lane, writing large outputs through ``out=`` into
@@ -19,7 +21,12 @@ thread, started on first use, and run the other on the caller. Its contract:
   tracer (perfbench/tracer.py) wraps, whose span stack all threads share,
   so it takes ``sigmoid_into`` and ``silu_derivative_into``;
 - sums that combine the two parts run on the caller, after both ended, in
-  the fixed order of the single-lane code, so every result keeps its bits;
+  the fixed order of the single-lane code, so every result keeps its bits:
+  column sums stay whole-batch ``np.add.reduce`` calls on whole arrays
+  (``both`` may run two independent ones as a pair), batch norm updates
+  its running statistics on the caller, and dropout draws all its
+  uniforms there in one call, so the generator's stream is that of the
+  single-lane code;
 - below ``LANE_MIN_ROWS`` rows both parts run on the caller, the whole
   batch in one call, so inference blocks and small minibatches never start
   the thread and a product is never split into a few-row slice (OpenBLAS
@@ -27,18 +34,6 @@ thread, started on first use, and run the other on the caller. Its contract:
   whose sums round differently);
 - it assumes one BLAS thread: with more, the lane's and the caller's BLAS
   calls compete for the same cores.
-
-Train-mode batch norm and dropout are elementwise passes between column
-sums. ``row_tiles`` gives such a pass to the lane by row halves, and each
-half walks its rows ``TILE_ROWS`` at a time, so that the several passes
-over one tile find it in cache. The same contract holds, with two changes:
-
-- the gate is ``LANE_MIN_ELEMENTS`` elements (rows times columns), not
-  ``LANE_MIN_ROWS``: no product is split, so a short half rounds the same;
-- the column sums stay whole-batch ``np.add.reduce`` calls on whole arrays
-  (``column_sums`` runs two independent ones as a pair), the running
-  statistics are updated on the caller, and dropout draws all its uniforms
-  on the caller, so the generator's stream is that of the single-lane code.
 
 Freed pages. A train step allocates and frees one step of activations,
 hundreds of MB at h=512. glibc's malloc hands such memory back to the OS:
@@ -76,17 +71,13 @@ BN_EPSILON = 1e-5  # added to every variance before its square root
 # 173, 178; 4,096 rows 550, 574 / 348, 354. The h=64 inference of
 # ``TkgmlpModel.predict`` on 20,000 rows, in 1,024-row blocks, took 0.176,
 # 0.157 s with the lane off and 0.205, 0.216 s with it on.
+# Batch norm and dropout pass the same gate. A train step (a 32 -> h KAN
+# layer, two h-wide gMLP blocks, dropout 0.3, 4,096 rows) with their passes
+# on the lane in 256-row tiles from 2^19 elements on / by row halves from
+# this gate, interleaved in one process, median ms of two runs of 100 (h=64)
+# and 30 (h=512) steps: h=64 71.8, 75.6 / 68.3, 71.2; h=512 589.0, 605.8 /
+# 617.3, 607.3, with bit-identical parameters after each run.
 LANE_MIN_ROWS = 2_048
-# Elements (rows x columns) from which ``row_tiles`` and ``column_sums`` use
-# the lane. Measured on the same host, median ms of a train step (a 32 -> h
-# KAN layer, two h-wide gMLP blocks, dropout 0.3, 4,096 rows) with train-mode
-# batch norm and dropout on one core / on both lanes: h=64 (2^18 elements)
-# 88.1 / 87.0; h=128 (2^19) 166.1 / 151.8; h=256 (2^20) 341.1 / 298.3;
-# h=512 (2^21) 759.9 / 675.9.
-LANE_MIN_ELEMENTS = 1 << 19
-# Rows per tile of ``row_tiles``. The same h=512 step by tile rows: 64, 703
-# ms; 256, 705; 1,024, 724; 4,096 (one tile per half), 719.
-TILE_ROWS = 256
 
 _LANE = []  # the lane's one-worker executor, made on first use
 _LANE_LOCK = threading.Lock()
@@ -143,16 +134,10 @@ def both(f, g, rows: int):
     once g has returned; one raised by g once f has ended. ``np.errstate``
     does not carry into a new thread, so f must enter any ``np.errstate`` it
     relies on itself, as ``spline.basis_matrix`` does. f must not call
-    ``both``, ``row_halves``, ``row_tiles`` or ``column_sums`` itself: the
-    one worker would wait on itself.
+    ``both`` or ``row_halves`` itself: the one worker would wait on itself.
     """
     if rows < LANE_MIN_ROWS:
         return f(), g()
-    return _split(f, g)
-
-
-def _split(f, g):
-    """(f(), g()) with f on the lane and g on the caller."""
     future = _lane().submit(f)
     try:
         second = g()
@@ -181,34 +166,6 @@ def row_halves(fn, rows: int):
         return
     half = rows // 2
     both(lambda: fn(0, half), lambda: fn(half, rows), rows)
-
-
-def row_tiles(fn, arr: np.ndarray):
-    """fn(lo, hi) over every row of ``arr``, for elementwise work in which a
-    row depends only on itself; fn writes its rows of arrays the caller
-    allocated. Below ``LANE_MIN_ELEMENTS`` elements it is one call fn(0, rows)
-    on the caller; from there on the first half of the rows goes to the lane
-    and the second half stays on the caller, each half ``TILE_ROWS`` rows at
-    a time."""
-    rows = arr.shape[0]
-    if arr.size < LANE_MIN_ELEMENTS:
-        fn(0, rows)
-        return
-
-    def walk(lo, hi):
-        for start in range(lo, hi, TILE_ROWS):
-            fn(start, min(start + TILE_ROWS, hi))
-
-    half = rows // 2
-    _split(lambda: walk(0, half), lambda: walk(half, rows))
-
-
-def column_sums(a: np.ndarray, b: np.ndarray):
-    """The whole-batch column sums of a and b, those of a on the lane from
-    ``LANE_MIN_ELEMENTS`` elements on."""
-    if a.size < LANE_MIN_ELEMENTS:
-        return np.add.reduce(a, axis=0), np.add.reduce(b, axis=0)
-    return _split(lambda: np.add.reduce(a, axis=0), lambda: np.add.reduce(b, axis=0))
 
 
 def sigmoid(x):
@@ -391,7 +348,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
             raise DegenerateBatchError("batch statistics need at least 2 rows in train mode")
         n = x.shape[0]
         # the moments as x.mean and x.var form them, from one centred copy;
-        # the passes between the column sums go by ``row_tiles``
+        # the passes between the column sums go by ``row_halves``
         mean = np.add.reduce(x, axis=0) / n
         xhat, out = np.empty_like(x), np.empty_like(x)
 
@@ -400,7 +357,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
             np.subtract(x[lo:hi], mean, out=xh)
             np.multiply(xh, xh, out=out[lo:hi])
 
-        row_tiles(centre, x)
+        row_halves(centre, n)
         var = np.add.reduce(out, axis=0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         s.running_mean[...] = (1.0 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mean
@@ -412,7 +369,7 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
             np.multiply(s.gamma, xh, out=o)  # the squares' buffer, reused
             o += s.beta
 
-        row_tiles(scale, x)
+        row_halves(scale, n)
         return out, (xhat, inv_std)
     inv_std = 1.0 / np.sqrt(s.running_var + BN_EPSILON)
     return s.gamma * (x - s.running_mean) * inv_std + s.beta, None
@@ -428,7 +385,7 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
     n = upstream.shape[0]
     # inv_std * (t - mean(t) - xhat * mean(t * xhat)) with t = upstream * gamma,
     # each product formed in one reused buffer; the passes between the
-    # column sums go by ``row_tiles``
+    # column sums go by ``row_halves``
     prod, t = np.empty_like(upstream), np.empty_like(upstream)
 
     def products(lo, hi):
@@ -436,12 +393,12 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
         np.multiply(up, xhat[lo:hi], out=prod[lo:hi])
         np.multiply(up, s.gamma, out=t[lo:hi])
 
-    row_tiles(products, upstream)
-    gamma_sum, beta_sum = column_sums(prod, upstream)
+    row_halves(products, n)
+    gamma_sum, beta_sum = both(lambda: np.add.reduce(prod, axis=0), lambda: np.add.reduce(upstream, axis=0), n)
     s.grad_gamma += gamma_sum
     s.grad_beta += beta_sum
-    row_tiles(lambda lo, hi: np.multiply(t[lo:hi], xhat[lo:hi], out=prod[lo:hi]), upstream)
-    t_xhat_mean, t_mean = column_sums(prod, t)
+    row_halves(lambda lo, hi: np.multiply(t[lo:hi], xhat[lo:hi], out=prod[lo:hi]), n)
+    t_xhat_mean, t_mean = both(lambda: np.add.reduce(prod, axis=0), lambda: np.add.reduce(t, axis=0), n)
     t_xhat_mean /= n
     t_mean /= n
 
@@ -452,7 +409,7 @@ def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.nda
         tt -= p
         tt *= inv_std
 
-    row_tiles(combine, upstream)
+    row_halves(combine, n)
     return t
 
 
@@ -471,7 +428,7 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None, t
     if rng is None:
         raise ValueError("train-mode dropout needs an explicit rng")
     # every uniform is drawn here, in one call, into the output's buffer;
-    # the mask and the products then go by ``row_tiles``
+    # the mask and the products then go by ``row_halves``
     y, keep = np.empty(x.shape), np.empty(x.shape, dtype=bool)
     rng.random(out=y)
     scale = 1.0 / (1.0 - rate)
@@ -482,7 +439,7 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None, t
         np.multiply(x[lo:hi], k, out=o)
         o *= scale
 
-    row_tiles(apply, y)
+    row_halves(apply, x.shape[0])
     return y, (keep, scale)
 
 
@@ -498,7 +455,7 @@ def dropout_backward(upstream: np.ndarray, mask) -> np.ndarray:
         np.multiply(upstream[lo:hi], keep[lo:hi], out=o)
         o *= scale
 
-    row_tiles(apply, out)
+    row_halves(apply, out.shape[0])
     return out
 
 

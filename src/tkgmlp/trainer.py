@@ -178,6 +178,9 @@ def train(
     allocator for the whole process, for good: memory that it frees stays
     with the process for reuse, so each step's activations are not faulted
     in afresh.
+
+    The same data, config and seed train the same bits at one BLAS thread
+    count; a different count can round the products' sums differently.
     """
     x_train, y_train = train_data
     x_valid, y_valid = valid_data

@@ -471,8 +471,8 @@ def single_lane_kan_backward(upstream, cache, p):
     return dx
 
 
-# Train-mode batch norm and dropout on one thread, whole batch, as they were
-# before ``nn_core.row_tiles``: the oracles for the tiled two-lane passes.
+# Train-mode batch norm and dropout on one thread, whole batch: the oracles
+# for the two-lane passes.
 
 def single_lane_batchnorm_forward(x, s, train):
     if x.ndim != 2 or x.shape[1] != s.dim:

@@ -62,15 +62,7 @@ class TestVersioning:
         _, encoder, model = fitted_pieces
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, encoder, {}, {})
-        # rewrite meta.json with a bumped version
-        with zipfile.ZipFile(path) as zf:
-            members = {n: zf.read(n) for n in zf.namelist()}
-        meta = json.loads(members["meta.json"])
-        meta["format_version"] = 999
-        members["meta.json"] = json.dumps(meta).encode()
-        with zipfile.ZipFile(path, "w") as zf:
-            for name, payload in members.items():
-                zf.writestr(name, payload)
+        _rewrite_meta(path, lambda meta: {**meta, "format_version": 999})
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
@@ -102,6 +94,18 @@ def _replace_array(path, name, arr):
     buf = io.BytesIO()
     np.lib.format.write_array(buf, arr)
     members[f"arrays/{name}.npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, payload in members.items():
+            zf.writestr(member, payload)
+
+
+def _rewrite_meta(path, edit):
+    """Replace a saved checkpoint's meta.json with edit(its parsed JSON),
+    written back as JSON unless edit returns bytes."""
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    meta = edit(json.loads(members["meta.json"]))
+    members["meta.json"] = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
     with zipfile.ZipFile(path, "w") as zf:
         for member, payload in members.items():
             zf.writestr(member, payload)
@@ -147,19 +151,49 @@ class TestArrayValidation:
         assert "CheckpointError" in err and repr(name) in err
 
 
+class TestMetaValidation:
+    CASES = [
+        (lambda meta: b'{"format_version": 1,', "meta.json is not JSON"),
+        (lambda meta: [meta], "meta.json must hold an object, got list"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "model_config"}, "meta.json lacks 'model_config'"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "input_dim": 0}},
+         "invalid model_config: input_dim must be an integer >= 1, got 0"),
+        (lambda meta: {**meta, "run_config": [1]}, "meta.json run_config must be a dict, got list"),
+        (lambda meta: {**meta, "arrays": 5}, "meta.json arrays must be a list, got int"),
+        (lambda meta: {**meta, "encoder": {}}, "invalid encoder: KeyError: 'kind'"),
+    ]
+    IDS = ["not-json", "a-list", "no-model-config", "input-dim-zero", "run-config-list", "arrays-int", "encoder-empty"]
+
+    @pytest.mark.parametrize("edit, problem", CASES, ids=IDS)
+    def test_bad_meta_rejected(self, tmp_path, fitted_pieces, edit, problem):
+        _, encoder, model = fitted_pieces
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoder, {}, {})
+        _rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value) and problem in str(exc.value)
+
+    @pytest.mark.parametrize("edit, problem", CASES, ids=IDS)
+    def test_evaluate_exits_two(self, tmp_path, capsys, fitted_pieces, edit, problem):
+        features, encoder, model = fitted_pieces
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoder, {}, {})
+        _rewrite_meta(path, edit)
+        labels = (np.arange(len(features)) % 3 == 0).astype(float)
+        write_csv(tmp_path / "data.csv", Dataset(features, labels, encoder.feature_names))
+        assert cli_main(["evaluate", "--checkpoint", str(path), "--data", str(tmp_path / "data.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err and problem in err
+
+
 def test_arrays_outside_the_config_rejected(tmp_path):
     encoder = EncoderSpec.fit(np.random.default_rng(0).normal(size=(30, 3)), kind="qle", n_bins=4)
     cfg = ModelConfig(input_dim=encoder.output_dim, hidden_dim=4, kan_layers=2, gmlp_layers=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, build_model(cfg, seed=0), encoder, {}, {})
-    with zipfile.ZipFile(path) as zf:
-        members = {n: zf.read(n) for n in zf.namelist()}
-    meta = json.loads(members["meta.json"])
-    meta["model_config"]["kan_layers"] = 1  # kan.0 and gmlp.0 still fit this config
-    members["meta.json"] = json.dumps(meta).encode()
-    with zipfile.ZipFile(path, "w") as zf:
-        for member, payload in members.items():
-            zf.writestr(member, payload)
+    # kan.0 and gmlp.0 still fit this config
+    _rewrite_meta(path, lambda meta: {**meta, "model_config": {**meta["model_config"], "kan_layers": 1}})
     with pytest.raises(CheckpointError, match=r"\['kan\.1\.base_weight', 'kan\.1\.coeffs', 'kan\.1\.spline_weight'\]"):
         load_checkpoint(path)
 

@@ -1,8 +1,8 @@
-"""The lane: the second thread of the train step (``nn_core.both``,
-``nn_core.row_halves``, ``nn_core.row_tiles`` and ``nn_core.column_sums``).
-The two-lane SwiGLU, KAN, batch-norm and dropout passes must give the bits
-of the single-lane ones at every batch size, errors raised on the lane must
-reach the caller, and only training may start the thread."""
+"""The lane: the second thread of the train step (``nn_core.both`` and
+``nn_core.row_halves``). The two-lane SwiGLU, KAN, batch-norm and dropout
+passes must give the bits of the single-lane ones at every batch size,
+errors raised on the lane must reach the caller, and only training may
+start the thread."""
 
 import subprocess
 import sys
@@ -18,7 +18,6 @@ from tkgmlp.gmlp import GmlpBlockParams, swiglu, swiglu_backward
 from tkgmlp.kan import kan_backward, kan_forward, kan_init
 from tkgmlp.model import ModelConfig, build_model
 from tkgmlp.nn_core import (
-    LANE_MIN_ELEMENTS,
     LANE_MIN_ROWS,
     BatchNormState,
     ShapeError,
@@ -43,18 +42,59 @@ from .helpers import (
 from .test_cli import write_config
 
 # 3 rows would split into halves of 1 and 2 rows, which OpenBLAS multiplies
-# with kernels that round differently; 2,047 / 2,048 straddle LANE_MIN_ROWS
+# with kernels that round differently; 2,047 / 2,048 straddle LANE_MIN_ROWS,
+# and 2,049 and 4,097 rows split into halves of unequal length
 ROWS = [2, 3, 1_023, 2_047, 2_048, 2_049, 4_096, 4_097]
 WIDTHS = [(4, 3), (32, 64), (64, 512)]
-# batch norm and dropout: from 2,047 x 256 on, the arrays reach
-# LANE_MIN_ELEMENTS, and halves such as 1,023 or 2,049 rows end in a tile
-# shorter than nn_core.TILE_ROWS
-ELEMENTWISE_ROWS = [2, 3, 2_047, 2_048, 2_049, 4_096, 4_097]
 ELEMENTWISE_WIDTHS = [32, 64, 256, 512]
+# the train-mode functions that split their passes by row halves, and per
+# call their numbers of ``row_halves`` passes and of ``both`` column-sum pairs
+ELEMENTWISE = {"batchnorm_forward": (2, 0), "batchnorm_backward": (3, 2),
+               "dropout_apply": (1, 0), "dropout_backward": (1, 0)}
 
 
 def _where(lo, hi, calls):
     calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
+
+
+def _on_lane():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _spy_elementwise_parts(monkeypatch):
+    """Record, for each function in ELEMENTWISE, every part it hands to
+    ``nn_core.row_halves``, as (lo, hi, on_lane), and to ``nn_core.both``,
+    as ("f" or "g", on_lane)."""
+    parts = {name: [] for name in ELEMENTWISE}
+    row_halves, both = nn_core.row_halves, nn_core.both
+
+    def halves_spy(fn, rows):
+        seen = parts.get(sys._getframe(1).f_code.co_name)
+        if seen is None:
+            return row_halves(fn, rows)
+
+        def part(lo, hi):
+            seen.append((lo, hi, _on_lane()))
+            fn(lo, hi)
+
+        return row_halves(part, rows)
+
+    def both_spy(f, g, rows):
+        seen = parts.get(sys._getframe(1).f_code.co_name)
+        if seen is None:
+            return both(f, g, rows)
+
+        def tagged(fn, tag):
+            def run():
+                seen.append((tag, _on_lane()))
+                return fn()
+            return run
+
+        return both(tagged(f, "f"), tagged(g, "g"), rows)
+
+    monkeypatch.setattr(nn_core, "row_halves", halves_spy)
+    monkeypatch.setattr(nn_core, "both", both_spy)
+    return parts
 
 
 def _lane_threads():
@@ -185,34 +225,30 @@ class TestThreads:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("hidden, on_lane", [(64, False), (256, True)])
-    def test_batch_norm_and_dropout_reach_the_lane_only_above_the_gate(self, hidden, on_lane, monkeypatch):
-        # at h=64 (train-h64's arrays) batch norm and dropout hand nothing to
-        # the lane, though SwiGLU and KAN do; at h=256 they use it
-        rows = 4_096
-        lane_users = []
-        split = nn_core._split
-
-        def spy(f, g):
-            lane_users.append(sys._getframe(1).f_code.co_name)
-            return split(f, g)
-
-        monkeypatch.setattr(nn_core, "_split", spy)
-        model = build_model(ModelConfig(input_dim=8, hidden_dim=hidden, kan_layers=1, gmlp_layers=2, dropout=0.3),
-                            seed=0)
+    @pytest.mark.parametrize("mode, rows", [("train", 4_096), ("train", LANE_MIN_ROWS - 1), ("predict", 4_096)])
+    def test_batch_norm_and_dropout_take_the_lane_from_the_row_gate(self, mode, rows, monkeypatch):
+        # in train-h64's step (h=64, 4,096 rows) batch norm and dropout run
+        # their first half on the lane, as SwiGLU and KAN do; one row below
+        # the gate, and in predict's 1,024-row blocks, they stay on the caller
+        parts = _spy_elementwise_parts(monkeypatch)
+        # three of each: the input batch norm and the two blocks', the
+        # dropout after the KAN layer and the two blocks'
+        model = build_model(ModelConfig(input_dim=8, hidden_dim=64, kan_layers=1, gmlp_layers=2, dropout=0.3), seed=0)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(rows, 8))
+        if mode == "predict":
+            model.predict(x)
+            assert not any(part[-1] for seen in parts.values() for part in seen)
+            return
         labels = (rng.random(rows) < 0.3).astype(np.float64)
         model.zero_grads()
         scores, cache = model.forward(x, train=True, rng=rng)
         model.backward(nn_core.bce_loss(scores, labels)[1], cache)
-        elementwise = {"row_tiles", "column_sums"}
-        assert "both" in lane_users
-        assert (rows * hidden >= LANE_MIN_ELEMENTS) == on_lane
-        if on_lane:
-            assert elementwise <= set(lane_users)
-        else:
-            assert not elementwise & set(lane_users)
+        lane = rows >= LANE_MIN_ROWS
+        halves = [(0, rows // 2, True), (rows // 2, rows, False)] if lane else [(0, rows, False)]
+        for name, (passes, sums) in ELEMENTWISE.items():
+            want = 3 * (passes * halves + sums * [("f", lane), ("g", False)])
+            assert sorted(parts[name], key=repr) == sorted(want, key=repr), name
 
     def test_fit_subprocess_exits_and_leaves_no_process(self, tmp_path):
         cfg = write_config(tmp_path, data={"rows": [4_096, 512, 512]},
@@ -315,14 +351,11 @@ def _state_arrays(s):
 
 class TestElementwiseBits:
     def test_cases_straddle_the_gate(self):
-        sizes = [rows * width for rows in ELEMENTWISE_ROWS for width in ELEMENTWISE_WIDTHS]
-        assert min(sizes) < LANE_MIN_ELEMENTS <= max(sizes)
-        halves = [half for rows in ELEMENTWISE_ROWS if rows * 256 >= LANE_MIN_ELEMENTS
-                  for half in (rows // 2, rows - rows // 2)]
-        assert any(half % nn_core.TILE_ROWS for half in halves)  # a last tile shorter than a tile
+        assert {LANE_MIN_ROWS - 1, LANE_MIN_ROWS} <= set(ROWS)
+        assert any(rows % 2 for rows in ROWS if rows >= LANE_MIN_ROWS)  # halves of unequal length
 
     @pytest.mark.parametrize("width", ELEMENTWISE_WIDTHS)
-    @pytest.mark.parametrize("rows", ELEMENTWISE_ROWS)
+    @pytest.mark.parametrize("rows", ROWS)
     def test_batchnorm_equals_single_lane(self, rows, width):
         rng = np.random.default_rng(rows * 7 + width)
         x = rng.normal(3.0, 2.0, (rows, width))
@@ -338,7 +371,7 @@ class TestElementwiseBits:
         _assert_equal_arrays(_state_arrays(states[0]), _state_arrays(states[1]))
 
     @pytest.mark.parametrize("width", ELEMENTWISE_WIDTHS)
-    @pytest.mark.parametrize("rows", ELEMENTWISE_ROWS)
+    @pytest.mark.parametrize("rows", ROWS)
     def test_dropout_equals_single_lane(self, rows, width):
         rng = np.random.default_rng(rows * 7 + width)
         x = rng.normal(size=(rows, width))
@@ -357,10 +390,10 @@ def test_elementwise_peaks_hold_no_scratch_array():
     # each call that broadcasts a vector or casts the bool mask, and frees
     # it on return; the lane's call runs beside the caller's, so the
     # two-lane peak may hold one such buffer more, plus the futures,
-    # closures and column-sum vectors (about 14 KB). A tile of scratch
-    # (1 MiB here) or a whole array (16 MiB) would exceed the allowance.
+    # closures and column-sum vectors (about 14 KB). A half of scratch
+    # (8 MiB here) or a whole array (16 MiB) would exceed the allowance.
     rows, width = 4_096, 512
-    assert rows * width >= LANE_MIN_ELEMENTS
+    assert rows >= LANE_MIN_ROWS
     allowance = np.getbufsize() * 8 + 32 * 1024
     rng = np.random.default_rng(0)
     x, up = rng.normal(size=(rows, width)), rng.normal(size=(rows, width))
@@ -376,6 +409,6 @@ def test_elementwise_peaks_hold_no_scratch_array():
                           lambda: single_lane_dropout_apply(x, 0.3, rng, train=True)),
         "dropout_backward": (lambda: dropout_backward(up, mask), lambda: single_lane_dropout_backward(up, mask)),
     }
-    for name, (tiled, single) in pairs.items():
-        tiled()  # the lane and numpy's caches exist before the measured calls
-        assert traced_peak(tiled) <= traced_peak(single) + allowance, name
+    for name, (two_lane, single) in pairs.items():
+        two_lane()  # the lane and numpy's caches exist before the measured calls
+        assert traced_peak(two_lane) <= traced_peak(single) + allowance, name

@@ -52,8 +52,7 @@ def test_spans_nest_in_a_two_lane_train_step():
     # open, could outlast it, and would overlap its siblings in time; at
     # width 256 the halves' passes are long enough to overlap
     rows = 4_096
-    assert rows >= nn_core.LANE_MIN_ROWS
-    assert rows * 256 >= nn_core.LANE_MIN_ELEMENTS  # batch norm and dropout take the lane too
+    assert rows >= nn_core.LANE_MIN_ROWS  # batch norm and dropout take the lane too
     model = build_model(ModelConfig(input_dim=8, hidden_dim=256, kan_layers=2, gmlp_layers=2, dropout=0.3), seed=0)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(rows, 8))
