@@ -2,10 +2,11 @@
 
 The forward pass is
 
-    scores = sigmoid(head(gmlp_N(... gmlp_1(drop(kan_M(... kan_1(bn(x)))))...)))
+    logits = head(gmlp_N(... gmlp_1(drop(kan_M(... kan_1(bn(x)))))...))
 
 with either stack allowed to be empty (pure-gMLP and pure-KAN ablations).
-Scores are per-row probabilities in (0, 1).
+Training stops at the logits, which ``nn_core.bce_loss`` takes; inference
+returns scores = sigmoid(logits), per-row probabilities in [0, 1].
 """
 
 from __future__ import annotations
@@ -108,12 +109,11 @@ class TkgmlpModel(nn_core.ParameterHolder):
         return sum(arr.size for arr, _ in self.trainable_parameters())
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
-        """Return (scores, cache). Train mode draws dropout masks from ``rng``,
-        updates BN running stats and caches every layer for ``backward``; a
-        train cache serves one backward, which empties it. Inference is
-        deterministic and keeps no layer caches, so each layer's arrays are
-        freed as the pass moves on; its cache only records that it came from
-        inference."""
+        """Return (logits, cache) in train mode and (sigmoid(logits), None) in
+        inference. Train mode draws dropout masks from ``rng``, updates BN
+        running stats and caches every layer for ``backward``; a train cache
+        serves one backward, which empties it. Inference is deterministic and
+        keeps no layer caches, so each layer's arrays are freed as it goes."""
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise nn_core.ShapeError(f"forward: input {x.shape} does not match input_dim {self.cfg.input_dim}")
         h, bn_cache = nn_core.batchnorm_forward(x, self.input_bn, train)
@@ -130,18 +130,9 @@ class TkgmlpModel(nn_core.ParameterHolder):
             h, gc = gmlp.gmlp_block_forward(h, block, train, rng)
             gmlp_caches.append(gc)
         logits, head_cache = nn_core.linear_forward(h, self.head)
-        scores = nn_core.sigmoid(logits[:, 0])
         if not train:
-            return scores, {"train": False}
-        cache = {
-            "train": True,
-            "bn": bn_cache,
-            "kan": kan_caches,
-            "gmlp": gmlp_caches,
-            "head": head_cache,
-            "scores": scores,
-        }
-        return scores, cache
+            return nn_core.sigmoid(logits[:, 0]), None
+        return logits[:, 0], {"bn": bn_cache, "kan": kan_caches, "gmlp": gmlp_caches, "head": head_cache}
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference scores, computed ``PREDICT_BLOCK_ROWS`` rows at a time.
@@ -164,23 +155,21 @@ class TkgmlpModel(nn_core.ParameterHolder):
             scores[lo:hi] = self.forward(x[lo:hi], train=False)[0]
         return scores
 
-    def backward(self, dscores: np.ndarray, cache) -> np.ndarray:
-        """Accumulate all parameter gradients from dL/dscores; return dL/dx.
+    def backward(self, dlogits: np.ndarray, cache) -> np.ndarray:
+        """Accumulate all parameter gradients from dL/dlogits; return dL/dx.
 
         Backward consumes its train cache: it empties the dict on entry and
         lets each layer's arrays go once that layer is done. So a loop that
         keeps ``cache`` bound until the next forward returns holds one step
         of activations, not two. A second backward on the same cache raises
-        ``ValueError``."""
+        ``ValueError``, and so does the ``None`` of an inference forward."""
+        if cache is None:
+            raise ValueError("backward needs a train-mode cache")
         if not cache:
             raise ValueError("backward has already consumed this cache: a train cache serves one backward")
-        if not cache["train"]:
-            raise ValueError("backward needs a train-mode cache")
         layers = cache.copy()
         cache.clear()
-        p = layers.pop("scores")
-        dlogits = (dscores * p * (1.0 - p))[:, None]
-        dh = nn_core.linear_backward(dlogits, layers.pop("head"), self.head)
+        dh = nn_core.linear_backward(dlogits[:, None], layers.pop("head"), self.head)
         gmlp_caches, kan_caches = layers.pop("gmlp"), layers.pop("kan")
         for block in reversed(self.gmlp_stack):
             dh = gmlp.gmlp_block_backward(dh, gmlp_caches.pop(), block)

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BCE_CLAMP_EPS = 1e-7
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_EPSILON = 1e-5  # added to every variance before its square root
 # Rows from which ``both`` and ``row_halves`` use the lane. Measured on a
@@ -459,20 +458,19 @@ def dropout_backward(upstream: np.ndarray, mask) -> np.ndarray:
     return out
 
 
-def bce_loss(probs: np.ndarray, labels: np.ndarray):
-    """Mean binary cross-entropy over probabilities, with its gradient.
-
-    Probabilities are clamped to [eps, 1-eps] (eps = 1e-7) before the logs;
-    the gradient is taken at the clamped values.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
+def bce_loss(logits: np.ndarray, labels: np.ndarray):
+    """Mean binary cross-entropy of sigmoid(logits), mean(softplus(z) - y*z),
+    and its gradient in the logits, exactly (sigmoid(z) - y) / n: about 1/n for
+    a confidently wrong row however far its logit saturates. A NaN or
+    infinite logit gives a non-finite loss, without a warning."""
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape:
-        raise ShapeError(f"bce_loss: probs {probs.shape} vs labels {labels.shape}")
+    if logits.shape != labels.shape:
+        raise ShapeError(f"bce_loss: logits {logits.shape} vs labels {labels.shape}")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("bce_loss: labels must be exactly 0 or 1")
-    p = np.clip(probs, BCE_CLAMP_EPS, 1.0 - BCE_CLAMP_EPS)
-    n = p.size
-    loss = float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).sum() / n)
-    grad = (p - labels) / (p * (1.0 - p)) / n
+    n = logits.size
+    with np.errstate(invalid="ignore"):
+        loss = float((np.logaddexp(0.0, logits) - labels * logits).sum() / n)
+    grad = (sigmoid(logits) - labels) / n
     return loss, grad

@@ -161,6 +161,17 @@ def _minibatch_slices(n: int, batch_size: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _check_labels(labels, rows: int, split: str) -> np.ndarray:
+    """The split's labels as a float64 vector: one 0 or 1 per feature row."""
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    if labels.size != rows:
+        raise ValueError(f"{split} split has {labels.size} labels for {rows} feature rows")
+    bad = labels[(labels != 0.0) & (labels != 1.0)]
+    if bad.size:
+        raise ValueError(f"{split} labels must be 0 or 1, got {bad[0]:g}")
+    return labels
+
+
 def train(
     model: TkgmlpModel,
     train_data: tuple[np.ndarray, np.ndarray],
@@ -186,10 +197,10 @@ def train(
     x_valid, y_valid = valid_data
     x_train = nn_core.as_batch(x_train, "train features")
     x_valid = nn_core.as_batch(x_valid, "valid features")
-    y_train = np.asarray(y_train, dtype=np.float64).ravel()
-    y_valid = np.asarray(y_valid, dtype=np.float64).ravel()
     if x_train.shape[0] == 0 or x_valid.shape[0] == 0:
         raise ValueError("train/valid splits must be non-empty")
+    y_train = _check_labels(y_train, x_train.shape[0], "train")
+    y_valid = _check_labels(y_valid, x_valid.shape[0], "valid")
     if len({0.0, 1.0} & set(np.unique(y_valid))) < 2:
         raise metrics.UndefinedMetricError("validation split needs both classes")
 
@@ -211,12 +222,12 @@ def train(
             idx = perm[lo:hi]
             xb, yb = x_train[idx], y_train[idx]
             model.zero_grads()
-            scores, cache = model.forward(xb, train=True, rng=rng)
-            loss, dscores = nn_core.bce_loss(scores, yb)
+            logits, cache = model.forward(xb, train=True, rng=rng)
+            loss, dlogits = nn_core.bce_loss(logits, yb)
             if not np.isfinite(loss):
                 diverged = True
                 break
-            model.backward(dscores, cache)
+            model.backward(dlogits, cache)
             adam_step(params, adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             loss_sum += loss * idx.size
         if diverged:

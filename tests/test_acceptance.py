@@ -117,10 +117,10 @@ def test_criterion_1_gradient_suite():
         check(lin.grad_bias, lin_loss, lin.bias)
 
         # binary cross-entropy
-        probs = rng.uniform(0.05, 0.95, size=12)
+        logits = rng.uniform(-3.0, 3.0, size=12)
         labels = (rng.random(12) < 0.5).astype(float)
-        _, grad = nn_core.bce_loss(probs, labels)
-        check(grad, lambda: nn_core.bce_loss(probs, labels)[0], probs)
+        _, grad = nn_core.bce_loss(logits, labels)
+        check(grad, lambda: nn_core.bce_loss(logits, labels)[0], logits)
 
         # end-to-end model, frozen dropout masks
         cfg = ModelConfig(input_dim=6, hidden_dim=8, kan_layers=1, gmlp_layers=1, dropout=0.3)
@@ -129,13 +129,13 @@ def test_criterion_1_gradient_suite():
         ym = (rng.random(10) < 0.4).astype(float)
 
         def model_loss():
-            scores, _ = model.forward(xm, train=True, rng=np.random.default_rng(seed + 500))
-            return nn_core.bce_loss(scores, ym)[0]
+            mlogits, _ = model.forward(xm, train=True, rng=np.random.default_rng(seed + 500))
+            return nn_core.bce_loss(mlogits, ym)[0]
 
-        scores, mcache = model.forward(xm, train=True, rng=np.random.default_rng(seed + 500))
-        _, dscores = nn_core.bce_loss(scores, ym)
+        mlogits, mcache = model.forward(xm, train=True, rng=np.random.default_rng(seed + 500))
+        _, dlogits = nn_core.bce_loss(mlogits, ym)
         model.zero_grads()
-        model.backward(dscores, mcache)
+        model.backward(dlogits, mcache)
         for arr, grad in model.trainable_parameters():
             check(grad, model_loss, arr)
 

@@ -242,8 +242,8 @@ class TestThreads:
             return
         labels = (rng.random(rows) < 0.3).astype(np.float64)
         model.zero_grads()
-        scores, cache = model.forward(x, train=True, rng=rng)
-        model.backward(nn_core.bce_loss(scores, labels)[1], cache)
+        logits, cache = model.forward(x, train=True, rng=rng)
+        model.backward(nn_core.bce_loss(logits, labels)[1], cache)
         lane = rows >= LANE_MIN_ROWS
         halves = [(0, rows // 2, True), (rows // 2, rows, False)] if lane else [(0, rows, False)]
         for name, (passes, sums) in ELEMENTWISE.items():

@@ -113,13 +113,13 @@ class TestBackward:
         y = (rng.random(10) < 0.4).astype(float)
 
         def loss():
-            scores, _ = m.forward(x, train=True, rng=np.random.default_rng(99))
-            return nn_core.bce_loss(scores, y)[0]
+            logits, _ = m.forward(x, train=True, rng=np.random.default_rng(99))
+            return nn_core.bce_loss(logits, y)[0]
 
-        scores, cache = m.forward(x, train=True, rng=np.random.default_rng(99))
-        _, dscores = nn_core.bce_loss(scores, y)
+        logits, cache = m.forward(x, train=True, rng=np.random.default_rng(99))
+        _, dlogits = nn_core.bce_loss(logits, y)
         m.zero_grads()
-        dx = m.backward(dscores, cache)
+        dx = m.backward(dlogits, cache)
         for arr, grad in m.trainable_parameters():
             assert rel_err(grad, finite_difference_grad(loss, arr)) < 1e-4
         assert rel_err(dx, finite_difference_grad(loss, x)) < 1e-4
@@ -136,7 +136,19 @@ class TestBackward:
     def test_inference_keeps_no_layer_caches(self):
         m = build_model(tiny_config(dropout=0.3), seed=0)
         _, cache = m.forward(np.random.default_rng(0).normal(size=(4, 6)), train=False)
-        assert cache == {"train": False}
+        assert cache is None
+
+    def test_saturated_wrong_logits_keep_their_gradient(self):
+        # a head bias of +40 makes every logit about 40, all labels are 0:
+        # each row's dL/dz is about 1/n, so the bias gradient is about 1
+        m = build_model(tiny_config(dropout=0.3), seed=0)
+        m.head.bias[...] = 40.0
+        x = np.random.default_rng(0).normal(size=(8, 6))
+        logits, cache = m.forward(x, train=True, rng=np.random.default_rng(1))
+        assert logits.min() > 20.0
+        m.zero_grads()
+        m.backward(nn_core.bce_loss(logits, np.zeros(8))[1], cache)
+        assert m.head.grad_bias[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_predict_in_blocks_matches_one_forward(self, monkeypatch):
         m = build_model(tiny_config(kan_layers=2, gmlp_layers=2, dropout=0.3), seed=0)
@@ -192,10 +204,10 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(9, 6))
         y = (rng.random(9) < 0.5).astype(float)
-        scores, cache = m.forward(x, train=True, rng=np.random.default_rng(5))
-        _, dscores = nn_core.bce_loss(scores, y)
+        logits, cache = m.forward(x, train=True, rng=np.random.default_rng(5))
+        _, dlogits = nn_core.bce_loss(logits, y)
         m.zero_grads()
-        dx_model = m.backward(dscores, cache)
+        dx_model = m.backward(dlogits, cache)
         got = {name: arr.copy() for name, arr in
                [("kan_c", m.kan_stack[0].grad_coeffs), ("gate_w", m.gmlp_stack[0].gate.grad_weight),
                 ("head_w", m.head.grad_weight), ("bn_g", m.input_bn.grad_gamma)]}
@@ -207,16 +219,15 @@ class TestBackward:
         h1, kan_cache = kan.kan_forward(h0, m2.kan_stack[0])
         h1d, mask = nn_core.dropout_apply(h1, m2.cfg.dropout, rng2, True)
         h2, g_cache = gmlp.gmlp_block_forward(h1d, m2.gmlp_stack[0], True, rng2)
-        logits, head_cache = nn_core.linear_forward(h2, m2.head)
-        probs = nn_core.sigmoid(logits[:, 0])
-        _, dprobs = nn_core.bce_loss(probs, y)
+        logits2, head_cache = nn_core.linear_forward(h2, m2.head)
+        _, dlogits2 = nn_core.bce_loss(logits2[:, 0], y)
         m2.zero_grads()
-        dlogits = (dprobs * probs * (1 - probs))[:, None]
-        dh2 = nn_core.linear_backward(dlogits, head_cache, m2.head)
+        dh2 = nn_core.linear_backward(dlogits2[:, None], head_cache, m2.head)
         dh1 = nn_core.dropout_backward(gmlp.gmlp_block_backward(dh2, g_cache, m2.gmlp_stack[0]), mask)
         dh0 = kan.kan_backward(dh1, kan_cache, m2.kan_stack[0])
         dx_manual = nn_core.batchnorm_backward(dh0, bn_cache, m2.input_bn)
 
+        assert np.array_equal(logits, logits2[:, 0])
         assert np.array_equal(dx_model, dx_manual)
         assert np.array_equal(got["kan_c"], m2.kan_stack[0].grad_coeffs)
         assert np.array_equal(got["gate_w"], m2.gmlp_stack[0].gate.grad_weight)

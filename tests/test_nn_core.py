@@ -301,33 +301,47 @@ class TestLinear:
 class TestBceLoss:
     def test_perfect_prediction(self):
         labels = np.array([0.0, 1.0, 1.0, 0.0])
-        loss, _ = bce_loss(labels.copy(), labels)
+        loss, _ = bce_loss(np.where(labels == 1.0, 40.0, -40.0), labels)
         assert loss <= 1e-6
 
     def test_uniform_half(self):
-        probs = np.full(8, 0.5)
+        logits = np.zeros(8)
         labels = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=float)
-        loss, _ = bce_loss(probs, labels)
+        loss, _ = bce_loss(logits, labels)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        probs = rng.uniform(0.05, 0.95, size=10)
-        labels = (rng.random(10) < 0.5).astype(float)
+        logits = np.concatenate([rng.uniform(-3.0, 3.0, size=10), [-40.0, -20.0, 20.0, 40.0]])
+        labels = np.concatenate([(rng.random(10) < 0.5).astype(float), [1.0, 0.0, 1.0, 0.0]])
 
         def loss():
-            return bce_loss(probs, labels)[0]
+            return bce_loss(logits, labels)[0]
 
-        _, grad = bce_loss(probs, labels)
-        assert rel_err(grad, finite_difference_grad(loss, probs, eps=1e-7)) < 1e-6
+        _, grad = bce_loss(logits, labels)
+        assert rel_err(grad, finite_difference_grad(loss, logits, eps=1e-7)) < 1e-6
 
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             bce_loss(np.array([0.5, 0.5]), np.array([0.0, 2.0]))
 
-    def test_extreme_probs_clamped(self):
-        loss, grad = bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+    @pytest.mark.parametrize("z", [20.0, 40.0, 1000.0])
+    def test_saturated_logits_keep_their_gradient(self, z):
+        # confidently wrong rows get dL/dz of about +-1/n, confidently right
+        # rows about 0, and every loss is finite: about z for a wrong row
+        logits = np.array([z, -z, z, -z])
+        labels = np.array([0.0, 1.0, 1.0, 0.0])
+        loss, grad = bce_loss(logits, labels)
+        assert grad[0] == pytest.approx(0.25, rel=1e-8)
+        assert grad[1] == pytest.approx(-0.25, rel=1e-8)
+        assert np.all(np.abs(grad[2:]) < 1e-9)
+        assert loss == pytest.approx(2.0 * z / 4, rel=1e-8)
+        assert bce_loss(np.array([z]), np.array([0.0]))[0] == pytest.approx(z, rel=1e-9)
+
+    @pytest.mark.parametrize("z, y", [(np.nan, 0.0), (np.inf, 1.0)])
+    def test_non_finite_logit_gives_non_finite_loss(self, z, y):
+        loss, _ = bce_loss(np.array([z]), np.array([y]))
+        assert not np.isfinite(loss)
 
 
 class TestInit:

@@ -63,9 +63,9 @@ def test_spans_nest_in_a_two_lane_train_step():
         tracer = _load_tracer()
         with tracer.Tracer() as tr:
             model.zero_grads()
-            scores, cache = model.forward(x, train=True, rng=rng)
-            _, dscores = nn_core.bce_loss(scores, labels)
-            model.backward(dscores, cache)
+            logits, cache = model.forward(x, train=True, rng=rng)
+            _, dlogits = nn_core.bce_loss(logits, labels)
+            model.backward(dlogits, cache)
             trainer.adam_step(params, adam, 1e-3)
     finally:
         sys.modules.pop("perfbench_tracer", None)

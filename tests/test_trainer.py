@@ -250,6 +250,22 @@ class TestTrain:
         with pytest.raises(UndefinedMetricError):
             train(self.model_for(), (x, y), (x, np.zeros(100)), self.quick_cfg())
 
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    @pytest.mark.parametrize("labels, message", [
+        (lambda y: np.concatenate([y, y]), "split has 200 labels for 100 feature rows"),
+        (lambda y: y[:60], "split has 60 labels for 100 feature rows"),
+        (lambda y: np.where(np.arange(y.size) == 7, 2.0, y), "labels must be 0 or 1, got 2"),
+    ], ids=["too-many", "too-few", "label-2"])
+    def test_bad_labels_rejected_before_the_first_step(self, split, labels, message):
+        x, y = separable_dataset(100)
+        splits = {"train": (x, y), "valid": (x, y)}
+        splits[split] = (x, labels(y))
+        model = self.model_for()
+        before = model.snapshot()
+        with pytest.raises(ValueError, match=f"{split} {message}"):
+            train(model, splits["train"], splits["valid"], self.quick_cfg())
+        assert all(np.array_equal(arr, before[name]) for name, arr, _ in model.named_arrays())
+
     def test_epoch_callback_lines(self):
         x, y = separable_dataset(200)
         lines = []
@@ -327,8 +343,8 @@ class TestMemory:
         def steps(n):
             for _ in range(n):
                 model.zero_grads()
-                scores, cache = model.forward(x, train=True, rng=rng)
-                model.backward(nn_core.bce_loss(scores, y)[1], cache)
+                logits, cache = model.forward(x, train=True, rng=rng)
+                model.backward(nn_core.bce_loss(logits, y)[1], cache)
                 adam_step(params, adam, 1e-3)
 
         steps(1)  # the lane, numpy's caches and Adam's moments exist before the measured calls
