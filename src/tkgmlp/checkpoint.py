@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import replacing_open
 from .encoders import EncoderSpec
 from .model import ModelConfig, TkgmlpModel, build_model
 
@@ -48,6 +49,8 @@ def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes):
 
 def save_checkpoint(path, model: TkgmlpModel, encoder: EncoderSpec,
                     run_config: dict, best: dict):
+    """Write the checkpoint through ``data.replacing_open``: a failed save
+    leaves the file at ``path`` as it was."""
     arrays = model.named_arrays()
     meta = {
         "format_version": FORMAT_VERSION,
@@ -57,7 +60,7 @@ def save_checkpoint(path, model: TkgmlpModel, encoder: EncoderSpec,
         "best": best,
         "arrays": [name for name, _, _ in arrays],
     }
-    with zipfile.ZipFile(path, "w") as zf:
+    with replacing_open(path, "xb") as fh, zipfile.ZipFile(fh, "w") as zf:
         _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
         for name, arr, _ in arrays:
             buf = io.BytesIO()

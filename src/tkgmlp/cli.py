@@ -233,10 +233,11 @@ def cmd_grid(args) -> int:
     train_cfg = _train_config(cfg)
 
     def on_result(r):
-        log.info("config %d: ks=%s auc=%s seed=%d %s", r.index,
-                 metrics_mod.format_percent(max(r.best_ks, 0.0)),
-                 metrics_mod.format_percent(max(r.best_auc, 0.0)), r.seed,
-                 r.error or "")
+        if r.error:
+            log.info("config %d failed: seed=%d %s", r.index, r.seed, r.error)
+        else:
+            log.info("config %d: ks=%s auc=%s seed=%d", r.index, metrics_mod.format_percent(r.best_ks),
+                     metrics_mod.format_percent(r.best_auc), r.seed)
 
     ranked = trainer_mod.grid_search(space, base_cfg, (x_train, train_ds.labels),
                                      (x_valid, valid_ds.labels), train_cfg, on_result=on_result)
@@ -249,6 +250,10 @@ def cmd_grid(args) -> int:
             cfg_txt = ",".join(f"{k}={v}" for k, v in sorted(r.overrides.items()))
             fh.write(f"{rank}\t{r.index}\t{r.seed}\t{ks_txt}\t{auc_txt}\t{r.best_epoch}\t{r.error or ''}\t{cfg_txt}\n")
     log.info("wrote %s", results_path)
+    if all(r.error for r in ranked):
+        first = min(ranked, key=lambda r: r.index)
+        print(f"error: every grid config failed; config {first.index}: {first.error}", file=sys.stderr)
+        return 2
     top = ranked[0]
     print(f"best_config_index={top.index}")
     print(f"best_valid_ks_pct={metrics_mod.format_percent(top.best_ks)}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,12 +74,12 @@ def load_csv(path, label: str = "label", time: str | None = None, ignore=(), fea
     One pass over the raw bytes counts the lines and looks for an empty cell
     (two separators in a row, carriage returns aside). A file without one goes
     through numpy's C parser, which must then give one row per line with as
-    many cells as the header, every feature cell a finite number, every time
-    cell a number and every label ``0`` or ``1``; columns outside the
-    features, label and time are not parsed. A file with an empty cell, and
-    any file the C parser rejects (an unparseable or non-finite cell, a
-    ragged or blank row, a quoted cell spanning lines, a whitespace-only or
-    quoted empty cell), is read by the row scanner, ``_scan_csv``: empty
+    many cells as the header, every feature and time cell a finite number and
+    every label ``0`` or ``1``; columns outside the features, label and time
+    are not parsed. A file with an empty cell, and any file the C parser
+    rejects (an unparseable or non-finite cell, a ragged or blank row, a
+    quoted cell spanning lines, a whitespace-only or quoted empty cell), is
+    read by the row scanner, ``_scan_csv``, which streams the rows: empty
     feature cells become NaN, the only missing marker, and anything else
     (a ``nan`` or ``inf`` text cell among them) raises DataError with
     row/column coordinates.
@@ -91,13 +93,14 @@ def load_csv(path, label: str = "label", time: str | None = None, ignore=(), fea
     if table is None or table.shape != (n_lines - 1, len(header)):
         return _scan_csv(path, label, time, ignore, features)
     x = table[:, [j for j, _ in cols.features]]
-    if not np.isfinite(x).all():
+    times = None if cols.time is None else table[:, cols.time].copy()
+    if not np.isfinite(x).all() or (times is not None and not np.isfinite(times).all()):
         return _scan_csv(path, label, time, ignore, features)
     return Dataset(
         features=x,
         labels=table[:, cols.label].copy(),
         feature_names=[name for _, name in cols.features],
-        time_values=None if cols.time is None else table[:, cols.time].copy(),
+        time_values=times,
     )
 
 
@@ -186,59 +189,48 @@ def _parse_bulk(fh, header: list[str], cols: _Columns) -> np.ndarray | None:
 
 
 def _scan_csv(path, label: str = "label", time: str | None = None, ignore=(), features=None) -> Dataset:
-    """Read a CSV one cell at a time; the reader for every file the C parser
-    cannot take, and the one that turns empty feature cells into NaN and
-    names the first bad cell in row-major order. A text cell that parses to
-    NaN is stored as inf, so that NaN stays the mark of an empty cell and
-    the bulk check below finds every other non-finite cell."""
+    """Read a CSV one row at a time, checking each cell as it is read; the
+    reader for every file the C parser cannot take. An empty feature cell
+    becomes NaN. The first bad cell in row-major order (a row of the wrong
+    length, a feature or time cell that does not parse or is not finite, a
+    label other than 0 or 1) raises DataError with its coordinates. Values go
+    straight into packed float buffers, so no row outlives its own check."""
+    x, labels, times = array("d"), array("d"), array("d")
     with open(path, newline="") as fh:
         header, cols = _read_header(fh, path, label, time, ignore, features)
-        rows = list(csv.reader(fh))
-    n = len(rows)
-    x = np.zeros((n, len(cols.features)))  # cells not reached stay finite
-    labels = np.empty(n)
-    times = np.empty(n) if cols.time is not None else None
-
-    def check_finite():
-        # Non-finite values are found in bulk, after the cells are parsed.
-        bad = np.flatnonzero(np.isinf(x))
-        if bad.size:
-            i, k = divmod(int(bad[0]), x.shape[1])
-            j, name = cols.features[k]
-            raise DataError(f"{path}: row {i + 2}, column {name!r}: non-finite value {rows[i][j].strip()!r}") from None
-
-    try:
-        for i, row in enumerate(rows):
+        for i, row in enumerate(csv.reader(fh), start=2):
             if len(row) != len(header):
-                raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-            for k, (j, name) in enumerate(cols.features):
+                raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            for j, name in cols.features:
                 cell = row[j].strip()
                 if cell == "":
-                    x[i, k] = np.nan
+                    x.append(math.nan)
                     continue
                 try:
                     value = float(cell)
-                    x[i, k] = value if value == value else np.inf
                 except ValueError:
-                    raise DataError(f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r}") from None
+                    raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
+                x.append(value)
             try:
-                labels[i] = _label_cell(row[cols.label])
+                labels.append(_label_cell(row[cols.label]))
             except ValueError as exc:
-                raise DataError(f"{path}: row {i + 2}, column {label!r}: {exc}") from None
-            if times is not None:
+                raise DataError(f"{path}: row {i}, column {label!r}: {exc}") from None
+            if cols.time is not None:
+                cell = row[cols.time].strip()
                 try:
-                    times[i] = float(row[cols.time].strip())
+                    value = float(cell)
                 except ValueError:
-                    raise DataError(f"{path}: row {i + 2}, column {time!r}: cannot parse time cell") from None
-    except DataError:
-        check_finite()  # a non-finite cell before the bad one is the first bad cell
-        raise
-    check_finite()
+                    raise DataError(f"{path}: row {i}, column {time!r}: cannot parse time cell") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {i}, column {time!r}: non-finite value {cell!r}")
+                times.append(value)
     return Dataset(
-        features=x,
-        labels=labels,
+        features=np.frombuffer(x).reshape(len(labels), len(cols.features)),
+        labels=np.frombuffer(labels),
         feature_names=[name for _, name in cols.features],
-        time_values=times,
+        time_values=np.frombuffer(times) if cols.time is not None else None,
     )
 
 
@@ -257,33 +249,40 @@ def rows_per_block(n_features: int) -> int:
 
 
 @contextlib.contextmanager
+def replacing_open(path, mode: str = "x", **kwargs):
+    """Open a new temporary file beside ``path`` as ``open(tmp, mode,
+    **kwargs)``; it replaces ``path`` once the ``with`` block ends without an
+    error. On an error it is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
 def csv_block_writer(path, feature_names, label: str = "label"):
     """Open a CSV for writing in row blocks; yields ``write(features, labels)``,
     which appends rows, a NaN feature as an empty cell.
 
     The header is a ``csv.writer`` row, and each ``write`` formats its rows
-    ``rows_per_block`` at a time (see ``_format_rows``). Everything goes to a
-    temporary file beside ``path``, which replaces ``path`` once the ``with``
-    block ends without an error. On an error the temporary file is removed
-    and ``path`` is left as it was.
+    ``rows_per_block`` at a time (see ``_format_rows``), into a
+    ``replacing_open`` file: ``path`` appears whole or is left as it was.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", newline="")
-    try:
-        with fh:
-            csv.writer(fh).writerow(list(feature_names) + [label])
+    with replacing_open(path, newline="") as fh:
+        csv.writer(fh).writerow(list(feature_names) + [label])
 
-            def write(features, labels):
-                step = rows_per_block(features.shape[1])
-                for lo in range(0, features.shape[0], step):
-                    fh.write(_format_rows(features[lo:lo + step], labels[lo:lo + step]))
+        def write(features, labels):
+            step = rows_per_block(features.shape[1])
+            for lo in range(0, features.shape[0], step):
+                fh.write(_format_rows(features[lo:lo + step], labels[lo:lo + step]))
 
-            yield write
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        yield write
 
 
 def _format_rows(x: np.ndarray, labels: np.ndarray) -> str:

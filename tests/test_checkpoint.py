@@ -56,6 +56,25 @@ class TestRoundTrip:
         save_checkpoint(p2, model, encoder, {"seed": 1}, {})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_old_checkpoint_and_no_temporary(self, tmp_path, monkeypatch, fitted_pieces):
+        _, encoder, model = fitted_pieces
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, encoder, {"seed": 1}, {})
+        old = path.read_bytes()
+        real, calls = np.lib.format.write_array, []
+
+        def fail_on_third_array(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_third_array)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, encoder, {"seed": 2}, {})
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestVersioning:
     def test_version_mismatch_rejected(self, tmp_path, fitted_pieces):

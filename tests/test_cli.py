@@ -242,6 +242,26 @@ class TestGrid:
         out = capsys.readouterr().out
         assert "best_config_index=" in out
 
+    def test_every_config_failing_exits_two(self, tmp_path, capsys, caplog):
+        cfg = write_config(
+            tmp_path,
+            data={"rows": [300, 100, 100], "prevalence": 0.001},  # no positive in the valid split
+            grid={"gmlp_layers": [1], "kan_layers": [1], "grid_size": [5],
+                  "hidden_dim": [8, 16], "dropout": [0.0]},
+            train={"max_epochs": 2},
+        )
+        assert run_cli("fit", "--config", cfg) == 2
+        capsys.readouterr()
+        with caplog.at_level("INFO", logger="tkgmlp"):
+            assert run_cli("grid", "--config", cfg) == 2
+        out, err = capsys.readouterr()
+        assert "best_" not in out and "inf" not in out
+        assert "every grid config failed; config 0: UndefinedMetricError: validation split needs both classes" in err
+        assert "config 1 failed: " in caplog.text and "ks=" not in caplog.text
+        lines = (tmp_path / "out" / "grid_results.tsv").read_text().splitlines()
+        assert [line.split("\t")[1] for line in lines[1:]] == ["0", "1"]
+        assert all("UndefinedMetricError" in line for line in lines[1:])
+
     def test_grid_requires_section(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run_cli("grid", "--config", cfg) == 1

@@ -26,7 +26,7 @@ from tkgmlp.data import (
     write_csv,
 )
 
-from .helpers import per_row_write_csv
+from .helpers import per_row_write_csv, traced_peak
 
 
 class TestLoadCsv:
@@ -210,6 +210,35 @@ class TestLoadCsv:
         assert scanned.feature_names == parsed.feature_names == ["a", "b"]
         for name in ("features", "labels", "time_values"):
             assert np.array_equal(getattr(scanned, name), getattr(parsed, name))
+
+    @pytest.mark.parametrize("gap", ["5.0", ""], ids=["bulk", "scanner"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_time_cell_rejected(self, tmp_path, cell, gap):
+        path = tmp_path / "timed.csv"
+        path.write_text(f"t,a,label\n1.0,2.0,0\n{cell},3.0,1\n4.0,{gap},0\n")
+        with pytest.raises(DataError, match=rf"row 3, column 't': non-finite value '{cell}'"):
+            load_csv(path, time="t")
+
+    def test_scanner_peak_memory_near_the_features(self, tmp_path):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(5000, 32))
+        features[rng.random(features.shape) < 0.01] = np.nan
+        path = tmp_path / "gaps.csv"
+        write_csv(path, Dataset(features, np.arange(5000) % 2.0, [f"f{j}" for j in range(32)]))
+        peak = traced_peak(lambda: load_csv(path))
+        assert peak <= 2 * features.nbytes
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ("a,b,label\r1.0,,0\r-2.5,3.0,1\r", {}),
+        ('id,a,note,b,label\n1,1.0,"two\nlines",,0\n2,-2.5,x,3.0,1\n', {"ignore": ("id", "note")}),
+    ], ids=["cr-only", "quoted-cell-spans-lines"])
+    def test_rows_are_not_counted_by_lines(self, tmp_path, text, kwargs):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        ds = load_csv(path, **kwargs)
+        assert ds.feature_names == ["a", "b"]
+        assert np.array_equal(ds.features, [[1.0, np.nan], [-2.5, 3.0]], equal_nan=True)
+        np.testing.assert_array_equal(ds.labels, [0.0, 1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
