@@ -50,7 +50,8 @@ def _write_member(zf: zipfile.ZipFile, name: str, payload: bytes):
 def save_checkpoint(path, model: TkgmlpModel, encoder: EncoderSpec,
                     run_config: dict, best: dict):
     """Write the checkpoint through ``data.replacing_open``: a failed save
-    leaves the file at ``path`` as it was."""
+    leaves the file at ``path`` as it was. ``meta.json`` is strict JSON, so a
+    NaN or infinity in ``run_config`` or ``best`` raises ValueError."""
     arrays = model.named_arrays()
     meta = {
         "format_version": FORMAT_VERSION,
@@ -61,7 +62,7 @@ def save_checkpoint(path, model: TkgmlpModel, encoder: EncoderSpec,
         "arrays": [name for name, _, _ in arrays],
     }
     with replacing_open(path, "xb") as fh, zipfile.ZipFile(fh, "w") as zf:
-        _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
+        _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1, allow_nan=False).encode())
         for name, arr, _ in arrays:
             buf = io.BytesIO()
             np.lib.format.write_array(buf, np.ascontiguousarray(arr))

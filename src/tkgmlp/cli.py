@@ -139,17 +139,27 @@ def _fit_encoder(cfg: RunConfig, train_ds: data_mod.Dataset) -> EncoderSpec:
     )
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(seed=derive_seed(cfg.seed, "train"), **cfg.train)
+def _prepare_training(cfg: RunConfig):
+    """The steps that ``fit`` and ``grid`` share: resolve the splits, fit the
+    encoder on train and encode both splits. Returns the encoder, the
+    (features, labels) of train and valid, the model config and the train
+    config."""
+    train_ds, valid_ds, _, _ = _resolve_splits(cfg)
+    encoder = _fit_encoder(cfg, train_ds)
+    x_train = encoder.transform(train_ds.features)
+    x_valid = encoder.transform(valid_ds.features)
+    model_cfg = ModelConfig(input_dim=x_train.shape[1], **cfg.model)
+    train_cfg = TrainConfig(seed=derive_seed(cfg.seed, "train"), **cfg.train)
+    return encoder, (x_train, train_ds.labels), (x_valid, valid_ds.labels), model_cfg, train_cfg
 
 
 def cmd_synth(args) -> int:
     cfg = _run_config(args)
+    if cfg.data["kind"] != "synth":
+        raise ConfigError("synth command needs data.kind = 'synth'")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, valid_ds, test_ds, oracles = _resolve_splits(cfg)
-    if oracles is None:
-        raise ConfigError("synth command needs data.kind = 'synth'")
     names = ("train", "valid", "test")
     for name, ds in zip(names, (train_ds, valid_ds, test_ds)):
         data_mod.write_csv(out_dir / f"{name}.csv", ds)
@@ -168,24 +178,20 @@ def cmd_fit(args) -> int:
     cfg = _run_config(args)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, valid_ds, _, _ = _resolve_splits(cfg)
-    encoder = _fit_encoder(cfg, train_ds)
-    x_train = encoder.transform(train_ds.features)
-    x_valid = encoder.transform(valid_ds.features)
-    model_cfg = ModelConfig(input_dim=x_train.shape[1], **cfg.model)
+    encoder, train_data, valid_data, model_cfg, train_cfg = _prepare_training(cfg)
     mdl = build_model(model_cfg, seed=derive_seed(cfg.seed, "model"))
-    train_cfg = _train_config(cfg)
 
-    result = trainer_mod.train(mdl, (x_train, train_ds.labels), (x_valid, valid_ds.labels), train_cfg,
+    result = trainer_mod.train(mdl, train_data, valid_data, train_cfg,
                                on_epoch=lambda stats: print(stats.log_line(with_elapsed=True)))
     log_path = out_dir / EPOCH_LOG_NAME
     with open(log_path, "w") as fh:
         fh.write("epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n")
         fh.write("".join(stats.log_line(with_elapsed=False) + "\n" for stats in result.history))
+    validated = result.best_epoch >= 0  # False when training diverged in its first epoch
     best = {
         "best_epoch": result.best_epoch,
-        "best_valid_ks": result.best_ks,
-        "best_valid_auc": result.best_auc,
+        "best_valid_ks": result.best_ks if validated else None,
+        "best_valid_auc": result.best_auc if validated else None,
         "epochs_run": len(result.history),
         "stopped_early": result.stopped_early,
         "diverged": result.diverged,
@@ -193,9 +199,10 @@ def cmd_fit(args) -> int:
     ckpt_path = out_dir / CHECKPOINT_NAME
     ckpt.save_checkpoint(ckpt_path, mdl, encoder, cfg.to_dict(), best)
     log.info("wrote %s and %s", ckpt_path, log_path)
-    print(f"best_epoch={result.best_epoch}")
-    print(f"best_valid_ks_pct={metrics_mod.format_percent(result.best_ks)}")
-    print(f"best_valid_auc_pct={metrics_mod.format_percent(result.best_auc)}")
+    if validated:
+        print(f"best_epoch={result.best_epoch}")
+        print(f"best_valid_ks_pct={metrics_mod.format_percent(result.best_ks)}")
+        print(f"best_valid_auc_pct={metrics_mod.format_percent(result.best_auc)}")
     if result.diverged:
         log.warning("training diverged; checkpoint holds the best snapshot seen")
         return 2
@@ -224,13 +231,8 @@ def cmd_grid(args) -> int:
         raise ConfigError("grid command needs a 'grid' section")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, valid_ds, _, _ = _resolve_splits(cfg)
-    encoder = _fit_encoder(cfg, train_ds)
-    x_train = encoder.transform(train_ds.features)
-    x_valid = encoder.transform(valid_ds.features)
-    base_cfg = ModelConfig(input_dim=x_train.shape[1], **cfg.model)
+    _, train_data, valid_data, base_cfg, train_cfg = _prepare_training(cfg)
     space = GridSpace(**{k: tuple(v) for k, v in cfg.grid.items()})
-    train_cfg = _train_config(cfg)
 
     def on_result(r):
         if r.error:
@@ -239,8 +241,7 @@ def cmd_grid(args) -> int:
             log.info("config %d: ks=%s auc=%s seed=%d", r.index, metrics_mod.format_percent(r.best_ks),
                      metrics_mod.format_percent(r.best_auc), r.seed)
 
-    ranked = trainer_mod.grid_search(space, base_cfg, (x_train, train_ds.labels),
-                                     (x_valid, valid_ds.labels), train_cfg, on_result=on_result)
+    ranked = trainer_mod.grid_search(space, base_cfg, train_data, valid_data, train_cfg, on_result=on_result)
     results_path = out_dir / GRID_RESULTS_NAME
     with open(results_path, "w") as fh:
         fh.write("rank\tconfig_index\tseed\tvalid_ks_pct\tvalid_auc_pct\tbest_epoch\terror\tconfig\n")

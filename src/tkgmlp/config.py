@@ -1,11 +1,16 @@
 """Run configuration: one JSON document per run, validated up front.
 
-Unknown keys are rejected so typos fail before any work starts, and the
-``model`` and ``train`` sections, and each ``grid`` value, are checked for
-type and range by building a ``ModelConfig`` and a ``TrainConfig`` from
-them, whose own checks use the ``require_*`` helpers here; the ``data`` and
-``encoder`` values are checked with the same helpers. Individual keys can be overridden from the
-command line with ``--set a.b=value``.
+Unknown keys are rejected so typos fail before any work starts. The
+sections are ``data``, ``encoder``, ``model``, ``train`` and ``grid``, beside
+the top-level ``seed`` and ``output_dir``. The ``model`` and ``train`` keys
+are the fields of ``ModelConfig`` (less ``input_dim``) and ``TrainConfig``
+(less ``seed``); those sections, and each ``grid`` value, are checked for
+type and range by building the two configs, whose own checks use the
+``require_*`` helpers here. The ``data`` and ``encoder`` values are checked
+with the same helpers. The protocol's fixed values (Adam's moments and
+epsilon, the learning rate's decay) are constants in ``trainer``, not keys.
+Individual keys can be overridden from the command line with
+``--set a.b=value``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The forward pass is
 
-    logits = head(gmlp_N(... gmlp_1(drop(kan_M(... kan_1(bn(x)))))...))
+    logits = head(gmlp_N(... gmlp_1(drop(kan_M(... drop(kan_1(bn(x))))))...))
 
-with either stack allowed to be empty (pure-gMLP and pure-KAN ablations).
+with dropout after every KAN layer, and either stack allowed to be empty
+(pure-gMLP and pure-KAN ablations).
 Training stops at the logits, which ``nn_core.bce_loss`` takes; inference
 returns scores = sigmoid(logits), per-row probabilities in [0, 1].
 """
@@ -29,6 +30,9 @@ PREDICT_BLOCK_ROWS = 1_024
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The ``model`` config section's keys, plus ``input_dim``, which the
+    fitted encoder's output width sets."""
+
     input_dim: int
     hidden_dim: int = 64
     kan_layers: int = 1
@@ -37,7 +41,6 @@ class ModelConfig:
     spline_degree: int = 3
     dropout: float = 0.0
     spline_range: tuple[float, float] = (-1.0, 1.0)
-    dropout_after_each_kan: bool = True  # False: single dropout after the stack
 
     def __post_init__(self):
         for name, low in (("input_dim", 1), ("hidden_dim", 1), ("kan_layers", 0), ("gmlp_layers", 0),
@@ -51,8 +54,6 @@ class ModelConfig:
             build_knots(self.grid_size, self.spline_degree, self.spline_range)
         except ValueError as exc:
             raise ConfigError(f"spline_range must give a usable knot grid: {exc}") from None
-        if not isinstance(self.dropout_after_each_kan, bool):
-            raise ConfigError(f"dropout_after_each_kan must be true or false, got {self.dropout_after_each_kan!r}")
         object.__setattr__(self, "spline_range", tuple(float(v) for v in self.spline_range))
 
     def to_dict(self) -> dict:
@@ -118,12 +119,9 @@ class TkgmlpModel(nn_core.ParameterHolder):
             raise nn_core.ShapeError(f"forward: input {x.shape} does not match input_dim {self.cfg.input_dim}")
         h, bn_cache = nn_core.batchnorm_forward(x, self.input_bn, train)
         kan_caches = []
-        last = len(self.kan_stack) - 1
-        for i, layer in enumerate(self.kan_stack):
+        for layer in self.kan_stack:
             h, kc = kan.kan_forward(h, layer, train)
-            mask = None
-            if self.cfg.dropout_after_each_kan or i == last:
-                h, mask = nn_core.dropout_apply(h, self.cfg.dropout, rng, train)
+            h, mask = nn_core.dropout_apply(h, self.cfg.dropout, rng, train)
             kan_caches.append((kc, mask))
         gmlp_caches = []
         for block in self.gmlp_stack:

@@ -2,7 +2,8 @@
 
 Protocol: minibatches of 4096, Adam at lr0 = 1e-3 multiplied by 0.9 every
 20 epochs, early stopping on validation KS with patience 20, best-KS
-snapshot restored at the end.
+snapshot restored at the end. The decay and Adam's beta1, beta2 and eps
+are fixed constants, not settings; ``TrainConfig`` holds what a run may set.
 """
 
 from __future__ import annotations
@@ -18,98 +19,64 @@ from . import metrics, nn_core
 from .config import require_int, require_number
 from .model import ModelConfig, TkgmlpModel, build_model
 
+# Adam's standard moments and epsilon (Kingma & Ba, arXiv:1412.6980), and
+# the learning rate's decay: lr0 times 0.9 every 20 epochs.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DECAY_FACTOR, LR_DECAY_EVERY = 0.9, 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settable part of the protocol: the ``train`` config section's
+    keys, plus the seed that the run derives."""
+
     batch_size: int = 4096
     lr0: float = 1e-3
-    lr_decay_factor: float = 0.9
-    lr_decay_every: int = 20
     max_epochs: int = 100
     patience: int = 20
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         require_int("batch_size", self.batch_size, 2)  # batch norm needs 2 rows
-        for name in ("lr_decay_every", "max_epochs", "patience"):
+        for name in ("max_epochs", "patience"):
             require_int(name, getattr(self, name), 1)
         require_number("lr0", self.lr0, lambda v: v > 0.0, "> 0")
-        require_number("lr_decay_factor", self.lr_decay_factor, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-        for name in ("adam_beta1", "adam_beta2"):
-            require_number(name, getattr(self, name), lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-        require_number("adam_eps", self.adam_eps, lambda v: v > 0.0, "> 0")
-
-
-# Elements per block of ``adam_step``: the six arrays of a block (the
-# parameter, its gradient, both moments and two scratch blocks) take
-# 1.5 MiB. Measured on a 2-core Xeon host (2 MiB L2 per core, numpy 2.4.6),
-# medians of 25, one step over the 690,753 parameters of an h=512 model:
-# blocks of 8,192 / 16,384 / 32,768 / 65,536 elements took 11.5 / 11.2 /
-# 10.3 / 10.8 ms, one block per parameter 13.0 ms and a fresh temporary per
-# operation 13.3 ms. At h=64 (29,057 parameters) each took 0.6-0.8 ms.
-ADAM_BLOCK_SIZE = 32_768
 
 
 class AdamState:
-    """First/second moment buffers aligned with a fixed parameter list, and
-    the two scratch blocks that hold each step's temporaries."""
+    """First/second moment buffers aligned with a fixed parameter list."""
 
     def __init__(self, params):
-        for p, g in params:
-            if not (p.flags.c_contiguous and g.flags.c_contiguous):
-                raise ValueError("adam_step updates parameters through flat views: "
-                                 "each parameter and gradient must be C-contiguous")
         self.m = [np.zeros_like(p) for p, _ in params]
         self.v = [np.zeros_like(p) for p, _ in params]
         self.t = 0
-        self.scratch = (np.empty(ADAM_BLOCK_SIZE), np.empty(ADAM_BLOCK_SIZE))
 
 
-def adam_step(params, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, state: AdamState, lr: float):
     """p -= lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments.
 
-    Each parameter goes ``ADAM_BLOCK_SIZE`` elements at a time, so its
-    moments and the two scratch blocks stay in cache across the dozen passes
-    of the update. The passes form the same values in the same order as
-    m += (1 - beta1) grad, v += (1 - beta2) grad grad and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps).
+    Each parameter is updated in place, whatever its memory layout, with
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. A non-finite gradient
+    raises ``FloatingPointError``.
     """
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    a_block, b_block = state.scratch
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for (param, grad), m, v in zip(params, state.m, state.v):
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient for parameter of shape {param.shape}")
-        flat = [arr.reshape(-1) for arr in (param, grad, m, v)]
-        for lo in range(0, param.size, ADAM_BLOCK_SIZE):
-            p_, g, m_, v_ = (arr[lo:lo + ADAM_BLOCK_SIZE] for arr in flat)
-            a, b = a_block[: g.size], b_block[: g.size]
-            np.multiply(1.0 - beta1, g, out=a)
-            m_ *= beta1
-            m_ += a
-            np.multiply(1.0 - beta2, g, out=a)
-            a *= g
-            v_ *= beta2
-            v_ += a
-            np.divide(m_, c1, out=a)
-            np.multiply(lr, a, out=a)
-            np.divide(v_, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            p_ -= a
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """lr0 * decay^(epoch // every); non-increasing in epoch."""
+    """lr0 * LR_DECAY_FACTOR^(epoch // LR_DECAY_EVERY); non-increasing in epoch."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return cfg.lr0 * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+    return cfg.lr0 * LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
 
 
 def early_stop_check(history, patience: int) -> tuple[bool, int]:
@@ -184,6 +151,8 @@ def train(
     ``on_epoch`` receives each EpochStats as it is produced (for logging);
     returning a truthy value halts training after that epoch (external
     control, e.g. a time or target budget), with the best snapshot restored.
+    A run that diverges before its first validation returns ``best_epoch``
+    -1 and a best KS and AUC of -inf, with the initial parameters restored.
 
     Training calls ``nn_core.keep_freed_pages`` first, which changes the C
     allocator for the whole process, for good: memory that it frees stays
@@ -228,10 +197,9 @@ def train(
                 diverged = True
                 break
             model.backward(dlogits, cache)
-            adam_step(params, adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(params, adam, lr)
             loss_sum += loss * idx.size
         if diverged:
-            best_epoch = max(best_epoch, 0)
             break
 
         valid_scores = model.predict(x_valid)

@@ -180,8 +180,11 @@ class TestMetaValidation:
         (lambda meta: {**meta, "run_config": [1]}, "meta.json run_config must be a dict, got list"),
         (lambda meta: {**meta, "arrays": 5}, "meta.json arrays must be a list, got int"),
         (lambda meta: {**meta, "encoder": {}}, "invalid encoder: KeyError: 'kind'"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "dropout_after_each_kan": True}},
+         "invalid model_config: ModelConfig.__init__() got an unexpected keyword argument 'dropout_after_each_kan'"),
     ]
-    IDS = ["not-json", "a-list", "no-model-config", "input-dim-zero", "run-config-list", "arrays-int", "encoder-empty"]
+    IDS = ["not-json", "a-list", "no-model-config", "input-dim-zero", "run-config-list", "arrays-int", "encoder-empty",
+           "removed-model-key"]
 
     @pytest.mark.parametrize("edit, problem", CASES, ids=IDS)
     def test_bad_meta_rejected(self, tmp_path, fitted_pieces, edit, problem):

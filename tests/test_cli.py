@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from tkgmlp import data
+from tkgmlp import data, trainer
 from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main
 from tkgmlp.data import Dataset, load_csv, write_csv
@@ -74,6 +74,12 @@ class TestSynth:
         run_cli("synth", "--config", cfg, "--seed", 7)
         second = (tmp_path / "out" / "train.csv").read_bytes()
         assert first != second
+
+    def test_csv_data_section_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, data={"kind": "csv", "path": str(tmp_path / "missing.csv")})
+        assert run_cli("synth", "--config", cfg) == 1
+        assert "synth command needs data.kind = 'synth'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFit:
@@ -171,6 +177,27 @@ class TestFit:
         assert run_cli("fit", "--config", cfg) == 2
         assert "dropped.valid.csv: feature columns are not the 8 training columns in some order: " \
                "missing ['x00'], extra []" in capsys.readouterr().err
+
+    def test_categorical_column_not_in_the_data_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run_cli("fit", "--config", cfg, "--set", 'encoder.categorical=["x01","nope"]') == 1
+        assert "encoder.categorical names ['nope'] not in the data" in capsys.readouterr().err
+
+    def test_divergence_before_the_first_validation_reports_no_best(self, tmp_path, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            return trainer.TrainResult(history=[], best_epoch=-1, best_ks=-np.inf, best_auc=-np.inf,
+                                       stopped_early=False, diverged=True)
+
+        monkeypatch.setattr(trainer, "train", diverged)
+        assert run_cli("fit", "--config", write_config(tmp_path)) == 2
+        assert "best_" not in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert (out / "epochs.tsv").read_text() == "epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n"
+        with zipfile.ZipFile(out / "model.ckpt") as zf:
+            meta = json.loads(zf.read("meta.json"), parse_constant=lambda c: pytest.fail(f"meta.json holds {c}"))
+        assert meta["best"] == {"best_epoch": -1, "best_valid_ks": None, "best_valid_auc": None,
+                                "epochs_run": 0, "stopped_early": False, "diverged": True}
+        assert load_checkpoint(out / "model.ckpt").best == meta["best"]
 
 
 class TestEvaluate:
@@ -514,6 +541,23 @@ class TestExitCodes:
         assert run_cli("fit", "--config", cfg, "--set", override) == 1
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any data loads
+
+    @pytest.mark.parametrize("override", [
+        "train.adam_beta1=0.9",
+        "train.adam_beta2=0.999",
+        "train.adam_eps=1e-8",
+        "train.lr_decay_factor=0.9",
+        "train.lr_decay_every=20",
+        "model.dropout_after_each_kan=true",
+    ])
+    def test_protocol_constant_is_not_a_key(self, tmp_path, capsys, override):
+        section, key = override.split("=")[0].split(".")
+        assert run_cli("fit", "--config", write_config(tmp_path), "--set", override) == 1
+        assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_set_below_a_value_that_is_not_a_section_exits_one(self, tmp_path, capsys):
+        assert run_cli("fit", "--config", write_config(tmp_path), "--set", "seed.x=1") == 1
+        assert "override 'seed.x=1': 'seed' is not a section" in capsys.readouterr().err
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

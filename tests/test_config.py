@@ -70,10 +70,7 @@ class TestValidation:
         ("model", "hidden_dim", True),
         ("model", "spline_degree", -1),
         ("model", "spline_range", [1.0, -1.0]),
-        ("model", "dropout_after_each_kan", 1),
         ("train", "lr0", float("inf")),
-        ("train", "lr_decay_every", 0),
-        ("train", "adam_beta2", 1.0),
         (None, "seed", True),
         (None, "output_dir", 5),
         (None, "data", 5),

@@ -69,6 +69,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label"):
             load_csv(path)
 
+    def test_missing_time_column(self, tmp_path):
+        path = tmp_path / "notime.csv"
+        path.write_text("a,label\n1.0,0\n")
+        with pytest.raises(DataError, match="missing time column 't'"):
+            load_csv(path, time="t")
+
     def test_time_and_ignore_columns(self, tmp_path):
         path = tmp_path / "timed.csv"
         path.write_text("t,a,junk,label\n3.0,1.0,9,0\n1.0,2.0,9,1\n")
@@ -217,6 +223,13 @@ class TestLoadCsv:
         path = tmp_path / "timed.csv"
         path.write_text(f"t,a,label\n1.0,2.0,0\n{cell},3.0,1\n4.0,{gap},0\n")
         with pytest.raises(DataError, match=rf"row 3, column 't': non-finite value '{cell}'"):
+            load_csv(path, time="t")
+
+    @pytest.mark.parametrize("gap", ["5.0", ""], ids=["bulk", "scanner"])
+    def test_unparseable_time_cell_rejected(self, tmp_path, gap):
+        path = tmp_path / "timed.csv"
+        path.write_text(f"t,a,label\n1.0,2.0,0\nnoon,3.0,1\n4.0,{gap},0\n")
+        with pytest.raises(DataError, match=r"row 3, column 't': cannot parse time cell"):
             load_csv(path, time="t")
 
     def test_scanner_peak_memory_near_the_features(self, tmp_path):

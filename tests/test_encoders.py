@@ -371,6 +371,12 @@ class TestEncoderSpec:
         with pytest.raises(ValueError):
             EncoderSpec.fit(self.make_features(), kind="nope")
 
+    def test_wrong_column_count_rejected(self):
+        x = self.make_features()
+        spec = EncoderSpec.fit(x, kind="qle", n_bins=8)
+        with pytest.raises(ValueError, match="expected 3 columns, got 2"):
+            spec.transform(x[:, :2])
+
 
 def searchsorted_index(x, b):
     return np.clip(np.searchsorted(b, x, side="right") - 1, 0, b.size - 2)

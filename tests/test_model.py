@@ -56,7 +56,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_dim", True), ("grid_size", 2.5), ("spline_degree", -1), ("dropout", "x"),
-        ("dropout", float("nan")), ("spline_range", (1.0, -1.0)), ("dropout_after_each_kan", 1),
+        ("dropout", float("nan")), ("spline_range", (1.0, -1.0)),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be"):

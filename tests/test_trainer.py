@@ -14,7 +14,6 @@ from tkgmlp.metrics import UndefinedMetricError, ks
 from tkgmlp import model as model_module
 from tkgmlp.model import ModelConfig, TkgmlpModel, build_model
 from tkgmlp.trainer import (
-    ADAM_BLOCK_SIZE,
     AdamState,
     GridSpace,
     TrainConfig,
@@ -60,8 +59,7 @@ class TestAdam:
 
     def test_equals_fresh_temporaries_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        # one parameter spans three Adam blocks, the last one partial
-        shapes = [(2 * ADAM_BLOCK_SIZE + 5,), (64, 32, 8), (7, 3), ()]
+        shapes = [(65_541,), (64, 32, 8), (7, 3), ()]
         sides = []
         for _ in range(2):
             r = np.random.default_rng(0)
@@ -78,10 +76,19 @@ class TestAdam:
         for (p, _), (p_ref, _), m, v, mr, vr in zip(lib, ref, state.m, state.v, m_ref, v_ref):
             assert np.array_equal(p, p_ref) and np.array_equal(m, mr) and np.array_equal(v, vr)
 
-    def test_non_contiguous_parameter_rejected(self):
-        p = np.zeros((3, 4)).T
-        with pytest.raises(ValueError, match="C-contiguous"):
-            AdamState([(p, np.zeros_like(p))])
+    def test_transposed_parameter_updated_in_place(self):
+        rng = np.random.default_rng(4)
+        base, grad = rng.normal(size=(3, 5)), np.zeros((3, 5))
+        p, g = base.T, grad.T  # F-ordered views of the stored arrays
+        start = p.copy()
+        p_ref, g_ref = p.copy(), g.copy()
+        m_ref, v_ref = [np.zeros_like(p_ref)], [np.zeros_like(p_ref)]
+        state = AdamState([(p, g)])
+        for t in range(1, 4):
+            g[...] = g_ref[...] = rng.normal(size=g.shape)
+            adam_step([(p, g)], state, lr=1e-2)
+            adam_reference([(p_ref, g_ref)], m_ref, v_ref, t, lr=1e-2)
+        assert np.array_equal(base.T, p_ref) and not np.array_equal(base.T, start)
 
     def test_nan_gradient_aborts(self):
         p = np.array([0.0])
@@ -116,7 +123,6 @@ class TestLrSchedule:
 class TestTrainConfig:
     @pytest.mark.parametrize("key, value", [
         ("batch_size", 64.0), ("batch_size", 1), ("patience", 0), ("lr0", 0.0),
-        ("lr_decay_factor", 1.5), ("adam_beta2", 1.0), ("adam_eps", "1e-8"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
@@ -292,7 +298,7 @@ class TestTrain:
                        self.quick_cfg(max_epochs=5))
         assert result.diverged
         assert result.history == []
-        assert result.best_epoch == 0 and not result.stopped_early
+        assert result.best_epoch == -1 and not result.stopped_early
 
 
 # Runs trainer.train at h=64 on six 4,096-row minibatches for two epochs
