@@ -3,9 +3,9 @@
 One zip file holding a `meta.json` member (format version, run-config echo,
 fitted encoder statistics, model config, best-epoch metadata) plus one
 binary `.npy` member per model array. Member timestamps and ordering are
-fixed so identical runs produce byte-identical files, at one BLAS thread
-count: OpenBLAS splits a product's sums by its thread count, so runs with
-different counts train different bits.
+fixed so identical runs produce byte-identical files. OpenBLAS splits a
+product's sums by its thread count, so ``trainer.train`` trains at one
+thread whatever count the environment sets (see its docstring).
 """
 
 from __future__ import annotations

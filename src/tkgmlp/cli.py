@@ -25,7 +25,7 @@ from . import trainer as trainer_mod
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .encoders import EncoderSpec
 from .model import ModelConfig, build_model
-from .trainer import GridSpace, TrainConfig, derive_seed
+from .trainer import TrainConfig, derive_seed
 
 log = logging.getLogger("tkgmlp")
 
@@ -204,7 +204,8 @@ def cmd_fit(args) -> int:
         print(f"best_valid_ks_pct={metrics_mod.format_percent(result.best_ks)}")
         print(f"best_valid_auc_pct={metrics_mod.format_percent(result.best_auc)}")
     if result.diverged:
-        log.warning("training diverged; checkpoint holds the best snapshot seen")
+        log.warning("training diverged; checkpoint holds the best snapshot seen" if validated else
+                    "training diverged before its first validation; checkpoint holds the initial parameters")
         return 2
     return 0
 
@@ -232,7 +233,7 @@ def cmd_grid(args) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, train_data, valid_data, base_cfg, train_cfg = _prepare_training(cfg)
-    space = GridSpace(**{k: tuple(v) for k, v in cfg.grid.items()})
+    space = cfg.grid_space()
 
     def on_result(r):
         if r.error:

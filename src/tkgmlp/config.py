@@ -4,9 +4,10 @@ Unknown keys are rejected so typos fail before any work starts. The
 sections are ``data``, ``encoder``, ``model``, ``train`` and ``grid``, beside
 the top-level ``seed`` and ``output_dir``. The ``model`` and ``train`` keys
 are the fields of ``ModelConfig`` (less ``input_dim``) and ``TrainConfig``
-(less ``seed``); those sections, and each ``grid`` value, are checked for
-type and range by building the two configs, whose own checks use the
-``require_*`` helpers here. The ``data`` and ``encoder`` values are checked
+(less ``seed``); those sections are checked for type and range by
+building the two configs, whose own checks use the ``require_*`` helpers
+here, and so is each ``grid`` cell, built whole over the ``model`` section
+as the sweep builds it. The ``data`` and ``encoder`` values are checked
 with the same helpers. The protocol's fixed values (Adam's moments and
 epsilon, the learning rate's decay) are constants in ``trainer``, not keys.
 Individual keys can be overridden from the command line with
@@ -128,11 +129,11 @@ class RunConfig:
             for key, values in self.grid.items():
                 if not (isinstance(values, list) and values):
                     raise ConfigError(f"grid.{key} must be a non-empty list, got {values!r}")
-                for value in values:  # each alone: the sweep sets all five keys
-                    try:
-                        ModelConfig(input_dim=1, **{key: value})
-                    except ConfigError as exc:
-                        raise ConfigError(f"grid.{exc}") from None
+            for index, cell in enumerate(self.grid_space().configurations()):
+                try:
+                    ModelConfig(input_dim=1, **{**self.model, **cell})
+                except ConfigError as exc:
+                    raise ConfigError(f"grid.{exc}, in grid cell {index} {cell}") from None
         kind = self.data.get("kind")
         if kind not in ("csv", "synth"):
             raise ConfigError(f"data.kind must be 'csv' or 'synth', got {kind!r}")
@@ -164,6 +165,13 @@ class RunConfig:
                              ("encoder.categorical", self.encoder.get("categorical", []))):
             if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
                 raise ConfigError(f"{where} must be a list of column names, got {names!r}")
+
+    def grid_space(self):
+        """The ``grid`` section's candidate lists as a ``trainer.GridSpace``,
+        its defaults filling the keys the section leaves out."""
+        from .trainer import GridSpace
+
+        return GridSpace(**{k: tuple(v) for k, v in self.grid.items()})
 
     def to_dict(self) -> dict:
         return {

@@ -75,10 +75,11 @@ def load_csv(path, label: str = "label", time: str | None = None, ignore=(), fea
     (two separators in a row, carriage returns aside). A file without one goes
     through numpy's C parser, which must then give one row per line with as
     many cells as the header, every feature and time cell a finite number and
-    every label ``0`` or ``1``; columns outside the features, label and time
-    are not parsed. A file with an empty cell, and any file the C parser
-    rejects (an unparseable or non-finite cell, a ragged or blank row, a
-    quoted cell spanning lines, a whitespace-only or quoted empty cell), is
+    every label exactly ``0`` or ``1``; columns outside the features, label
+    and time are not parsed. A file with an empty cell, and any file the C
+    parser rejects (an unparseable or non-finite cell, a ragged or blank row,
+    a quoted cell spanning lines, a whitespace-only or quoted empty cell, a
+    label padded with spaces), is
     read by the row scanner, ``_scan_csv``, which streams the rows: empty
     feature cells become NaN, the only missing marker, and anything else
     (a ``nan`` or ``inf`` text cell among them) raises DataError with
@@ -143,22 +144,34 @@ def _read_header(fh, path, label, time, ignore, features=None) -> tuple[list[str
     )
 
 
-_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
-
-
 def _survey(path) -> tuple[int, bool]:
     """Physical lines in the file (a last line without a newline included),
     and whether any cell may be empty: once carriage returns are dropped and
     newlines read as commas, two commas in a row. Blank lines and commas
     inside quotes count too; they only send the file to the row scanner.
-    Reads 64 KiB at a time, so that its copies stay small."""
-    lines, has_empty, prev = 0, False, b""
+
+    Reads 64 KiB at a time. Until a gap is found, each read is viewed as a
+    numpy byte array, its carriage returns dropped, and its separators
+    (comma or newline) compared with their right neighbours; whether the
+    read's last kept byte is a separator carries into the next one, so a gap
+    split by a read boundary, or by carriage returns at one, is still
+    found."""
+    lines, has_empty, carry, last = 0, False, False, b""
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             lines += chunk.count(b"\n")
-            has_empty = has_empty or b",," in (prev + chunk).translate(_NEWLINE_TO_COMMA, b"\r")
-            prev = chunk[-1:]
-    return lines + (prev not in (b"", b"\n")), has_empty
+            last = chunk[-1:]
+            if has_empty:
+                continue
+            a = np.frombuffer(chunk, np.uint8)
+            if b"\r" in chunk:
+                a = a[a != 13]
+                if a.size == 0:
+                    continue
+            sep = (a == 44) | (a == 10)
+            has_empty = bool(carry and sep[0] or (sep[1:] & sep[:-1]).any())
+            carry = bool(sep[-1])
+    return lines + (last not in (b"", b"\n")), has_empty
 
 
 def _label_cell(cell: str) -> float:
@@ -177,10 +190,13 @@ def _parse_bulk(fh, header: list[str], cols: _Columns) -> np.ndarray | None:
     parser rejects the file. All columns are read, not a ``usecols`` subset,
     because only then does the parser check each row's cell count; columns
     that are neither features, label nor time get a constant converter, so
-    a text column there still parses."""
+    a text column there still parses. A label cell is looked up in a dict of
+    ``"0"`` and ``"1"``, in C: any other text, a label padded with spaces
+    among them, raises, and the file goes to the row scanner, whose
+    ``_label_cell`` strips the spaces and accepts it."""
     used = {j for j, _ in cols.features} | {cols.label, cols.time}
     converters = {j: _unused_cell for j in range(len(header)) if j not in used}
-    converters[cols.label] = _label_cell
+    converters[cols.label] = {"0": 0.0, "1": 1.0}.__getitem__
     try:
         return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
                           dtype=np.float64, converters=converters)

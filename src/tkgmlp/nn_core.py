@@ -33,7 +33,8 @@ caller. Its contract:
   multiplies one row, and a few rows at 512 outputs, with other kernels,
   whose sums round differently);
 - it assumes one BLAS thread: with more, the lane's and the caller's BLAS
-  calls compete for the same cores.
+  calls compete for the same cores. ``trainer.train`` runs under
+  ``one_blas_thread``.
 
 Freed pages. A train step allocates and frees one step of activations,
 hundreds of MB at h=512. glibc's malloc hands such memory back to the OS:
@@ -53,6 +54,8 @@ unmapped one by one.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import threading
 from dataclasses import dataclass, field
@@ -125,19 +128,61 @@ def keep_freed_pages() -> bool:
             and mallopt(M_TRIM_THRESHOLD, KEEP_TRIM_THRESHOLD) == 1)
 
 
+@functools.cache
+def _blas_thread_calls():
+    """``(get, set)`` of the BLAS thread count of the OpenBLAS that numpy's
+    wheel bundles (``numpy.libs/libscipy_openblas64_*.so``, the library
+    numpy has already loaded), or None where no such library exports them
+    (MKL, Accelerate, another build)."""
+    import ctypes  # here, as in keep_freed_pages
+    import glob
+    import os
+
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        blas = ctypes.CDLL(libs[0])
+        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):  # no such library, or it lacks the calls
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the ``with`` block at one BLAS thread, then put back the count it
+    found, also on an error. The count is process-wide, as in
+    ``keep_freed_pages``. Does nothing where ``_blas_thread_calls`` finds no
+    OpenBLAS to set."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def both(f, g, rows: int):
     """(f(), g()) for a batch of ``rows`` rows: f on the lane and g on the
     caller, or both on the caller below ``LANE_MIN_ROWS``.
 
     An exception raised by f reaches the caller, type and message intact,
-    once g has returned; one raised by g once f has ended. ``np.errstate``
-    does not carry into a new thread, so f must enter any ``np.errstate`` it
-    relies on itself, as ``spline.basis_matrix`` does. f must not call
-    ``both`` or ``row_halves`` itself: the one worker would wait on itself.
+    once g has returned; one raised by g once f has ended. f runs in a copy
+    of the caller's ``contextvars`` context, so the caller's ``np.errstate``
+    (a context variable in numpy 2) holds on the lane as on the caller. f
+    must not call ``both`` or ``row_halves`` itself: the one worker would
+    wait on itself.
     """
     if rows < LANE_MIN_ROWS:
         return f(), g()
-    future = _lane().submit(f)
+    future = _lane().submit(contextvars.copy_context().run, f)
     try:
         second = g()
     finally:
@@ -338,7 +383,9 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
     """Standardize columns by batch (train) or running (inference) statistics.
 
     Train mode updates the running statistics in place and returns a cache
-    for the backward pass; inference returns cache=None.
+    for the backward pass; inference returns cache=None, and forms
+    gamma * (x - mean) * inv_std + beta in one new array, by the same
+    operations in the same order, so with the bits of that expression.
     """
     if x.ndim != 2 or x.shape[1] != s.dim:
         raise ShapeError(f"batchnorm: input {x.shape} does not match dim {s.dim}")
@@ -371,7 +418,11 @@ def batchnorm_forward(x: np.ndarray, s: BatchNormState, train: bool):
         row_halves(scale, n)
         return out, (xhat, inv_std)
     inv_std = 1.0 / np.sqrt(s.running_var + BN_EPSILON)
-    return s.gamma * (x - s.running_mean) * inv_std + s.beta, None
+    out = np.subtract(x, s.running_mean)
+    np.multiply(s.gamma, out, out=out)
+    out *= inv_std
+    out += s.beta
+    return out, None
 
 
 def batchnorm_backward(upstream: np.ndarray, cache, s: BatchNormState) -> np.ndarray:

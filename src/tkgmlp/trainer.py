@@ -159,8 +159,17 @@ def train(
     with the process for reuse, so each step's activations are not faulted
     in afresh.
 
-    The same data, config and seed train the same bits at one BLAS thread
-    count; a different count can round the products' sums differently.
+    Training runs under ``nn_core.one_blas_thread``: one BLAS thread, the
+    lane's assumption, whatever count the environment set, which is put
+    back on return. So the same data, config and seed train the same bits
+    whatever that count. Where numpy's BLAS is not the OpenBLAS it bundles,
+    the count is left as it is, and a different count can round the
+    products' sums differently.
+
+    The train forward and the loss run under ``np.errstate(over="ignore",
+    invalid="ignore")``, on the lane too (see ``nn_core.both``): a step that
+    blows up gives a non-finite loss, which ends the run as diverged,
+    instead of a ``RuntimeWarning``.
     """
     x_train, y_train = train_data
     x_valid, y_valid = valid_data
@@ -183,46 +192,48 @@ def train(
     stopped_early = diverged = False
     start = time.perf_counter()
 
-    for epoch in range(cfg.max_epochs):
-        lr = lr_schedule(epoch, cfg)
-        perm = rng.permutation(x_train.shape[0])
-        loss_sum = 0.0
-        for lo, hi in _minibatch_slices(perm.size, cfg.batch_size):
-            idx = perm[lo:hi]
-            xb, yb = x_train[idx], y_train[idx]
-            model.zero_grads()
-            logits, cache = model.forward(xb, train=True, rng=rng)
-            loss, dlogits = nn_core.bce_loss(logits, yb)
-            if not np.isfinite(loss):
-                diverged = True
+    with nn_core.one_blas_thread():
+        for epoch in range(cfg.max_epochs):
+            lr = lr_schedule(epoch, cfg)
+            perm = rng.permutation(x_train.shape[0])
+            loss_sum = 0.0
+            for lo, hi in _minibatch_slices(perm.size, cfg.batch_size):
+                idx = perm[lo:hi]
+                xb, yb = x_train[idx], y_train[idx]
+                model.zero_grads()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits, cache = model.forward(xb, train=True, rng=rng)
+                    loss, dlogits = nn_core.bce_loss(logits, yb)
+                if not np.isfinite(loss):
+                    diverged = True
+                    break
+                model.backward(dlogits, cache)
+                adam_step(params, adam, lr)
+                loss_sum += loss * idx.size
+            if diverged:
                 break
-            model.backward(dlogits, cache)
-            adam_step(params, adam, lr)
-            loss_sum += loss * idx.size
-        if diverged:
-            break
 
-        valid_scores = model.predict(x_valid)
-        valid_ks = metrics.ks(valid_scores, y_valid)
-        valid_auc = metrics.auc(valid_scores, y_valid)
-        stats = EpochStats(
-            epoch=epoch,
-            lr=lr,
-            train_loss=loss_sum / perm.size,
-            valid_ks=valid_ks,
-            valid_auc=valid_auc,
-            elapsed_s=time.perf_counter() - start,
-        )
-        history.append(stats)
-        halt_requested = on_epoch is not None and bool(on_epoch(stats))
-        if valid_ks > best_ks:
-            best_epoch, best_ks, best_auc = epoch, valid_ks, valid_auc
-            best_snapshot = model.snapshot()
-        if halt_requested:
-            break
-        stopped_early, _ = early_stop_check([h.valid_ks for h in history], cfg.patience)
-        if stopped_early:
-            break
+            valid_scores = model.predict(x_valid)
+            valid_ks = metrics.ks(valid_scores, y_valid)
+            valid_auc = metrics.auc(valid_scores, y_valid)
+            stats = EpochStats(
+                epoch=epoch,
+                lr=lr,
+                train_loss=loss_sum / perm.size,
+                valid_ks=valid_ks,
+                valid_auc=valid_auc,
+                elapsed_s=time.perf_counter() - start,
+            )
+            history.append(stats)
+            halt_requested = on_epoch is not None and bool(on_epoch(stats))
+            if valid_ks > best_ks:
+                best_epoch, best_ks, best_auc = epoch, valid_ks, valid_auc
+                best_snapshot = model.snapshot()
+            if halt_requested:
+                break
+            stopped_early, _ = early_stop_check([h.valid_ks for h in history], cfg.patience)
+            if stopped_early:
+                break
 
     model.restore(best_snapshot)
     return TrainResult(history, best_epoch, best_ks, best_auc, stopped_early, diverged)

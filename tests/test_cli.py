@@ -542,6 +542,15 @@ class TestExitCodes:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any data loads
 
+    @pytest.mark.parametrize("kan_layers, gmlp_layers", [("[0,1]", "[0,1]"), ("[0]", "[0]")])
+    def test_grid_cell_without_layers_exits_one(self, tmp_path, capsys, kan_layers, gmlp_layers):
+        cfg = write_config(tmp_path, grid={"grid_size": [5], "hidden_dim": [8], "dropout": [0.0]})
+        assert run_cli("grid", "--config", cfg, "--set", f"grid.kan_layers={kan_layers}",
+                       "--set", f"grid.gmlp_layers={gmlp_layers}") == 1
+        assert ("grid.kan_layers and gmlp_layers cannot both be 0, in grid cell 0 {'gmlp_layers': 0, "
+                "'kan_layers': 0, 'grid_size': 5, 'hidden_dim': 8, 'dropout': 0.0}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any data loads
+
     @pytest.mark.parametrize("override", [
         "train.adam_beta1=0.9",
         "train.adam_beta2=0.999",

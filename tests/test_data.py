@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special, stats
@@ -202,6 +202,38 @@ class TestLoadCsv:
         assert data._survey(path) == (n_rows + 3, True)
         path.write_bytes(head + filler + pad + b",1\r\n0.5,0")
         assert data._survey(path) == (n_rows + 3, False)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(snippet=st.binary(max_size=80).map(lambda raw: bytes(b"0123456789.,\r\n\"1"[c % 16] for c in raw)),
+           split=st.integers(0, 80), tail=st.sampled_from([b"", b"1\n", b"\r" * (1 << 16) + b",1\n"]))
+    @example(snippet=b"0.5,1,\r\n0.5,1\n", split=7, tail=b"")  # the first read ends in ",\r", the next starts "\n"
+    @example(snippet=b"1,", split=2, tail=b"\r" * (1 << 16) + b",1\n")  # a read of carriage returns only
+    def test_survey_matches_the_whole_file_rule(self, snippet, split, tail):
+        # the snippet straddles the first 64 KiB read boundary, split bytes before it
+        raw = b"1" * ((1 << 16) - min(split, len(snippet))) + snippet + tail
+        lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
+        gap = b",," in raw.replace(b"\r", b"").replace(b"\n", b",")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "survey.csv"
+            path.write_bytes(raw)
+            assert data._survey(path) == (lines, gap)
+
+    @pytest.mark.parametrize("cell", ["0", "1", " 1", "1 ", "1.0", "01", "+1", "2", ""])
+    def test_label_cell_read_as_the_scanner_reads_it(self, tmp_path, monkeypatch, cell):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"a,label\n0.5,0\n0.25,{cell}\n-1.0,1\n")
+        try:
+            expected = data._scan_csv(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                load_csv(path)
+            assert str(caught.value) == str(exc)
+            return
+        if cell in ("0", "1"):
+            monkeypatch.setattr(data, "_scan_csv", None)  # an exact 0 or 1 takes the bulk parse
+        got = load_csv(path)
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
 
     def test_scanner_matches_bulk_parse(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tkgmlp import gmlp, kan, nn_core
+from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main as cli_main
 from tkgmlp.gmlp import GmlpBlockParams, swiglu, swiglu_backward
 from tkgmlp.kan import kan_backward, kan_forward, kan_init
@@ -146,15 +147,16 @@ class TestErrors:
                 nn_core.both(lambda: np.log(zeros), lambda: None, LANE_MIN_ROWS)
         assert nn_core.both(lambda: 1, lambda: 2, LANE_MIN_ROWS) == (1, 2)
 
-    def test_errstate_does_not_reach_the_lane(self):
-        # why work that relies on np.errstate stays on the caller
+    def test_errstate_reaches_the_lane(self):
+        # the lane runs in a copy of the caller's context, where numpy keeps its errstate
         zeros = np.zeros(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with np.errstate(divide="ignore"):
-                assert np.log(zeros)[0] == -np.inf
-                with pytest.raises(RuntimeWarning, match="divide by zero"):
-                    nn_core.both(lambda: np.log(zeros), lambda: None, LANE_MIN_ROWS)
+                on_lane, _ = nn_core.both(lambda: np.log(zeros), lambda: None, LANE_MIN_ROWS)
+            assert on_lane[0] == -np.inf
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                nn_core.both(lambda: np.log(zeros), lambda: None, LANE_MIN_ROWS)
 
     def test_basis_matrix_keeps_its_errstate_on_the_lane(self):
         # basis_matrix enters its own np.errstate, so it runs on the lane as
@@ -196,6 +198,18 @@ class TestErrors:
         assert cli_main(["fit", "--config", str(cfg)]) == 2
         assert "ShapeError: injected lane fault" in capsys.readouterr().err
 
+
+    def test_fit_reports_a_divergence_on_the_lane(self, tmp_path, caplog):
+        # at lr0 = 1e300 the second step's forward overflows, on the lane too
+        # (batch 4,096), before any epoch is validated
+        cfg = write_config(tmp_path, data={"rows": [8_192, 512, 512]},
+                           train={"batch_size": 4_096, "max_epochs": 2})
+        with caplog.at_level("WARNING", logger="tkgmlp"):
+            assert cli_main(["fit", "--config", str(cfg), "--set", "train.lr0=1e300"]) == 2
+        assert "training diverged before its first validation; checkpoint holds the initial parameters" in caplog.text
+        out = tmp_path / "out"
+        assert (out / "epochs.tsv").read_text() == "epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n"
+        assert load_checkpoint(out / "model.ckpt").best["diverged"] is True
 
 class TestThreads:
     def test_scoring_encoding_and_synth_start_no_thread(self, tmp_path):

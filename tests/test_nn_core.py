@@ -151,6 +151,20 @@ class TestBatchNorm:
         np.testing.assert_allclose(y, x, rtol=1e-5, atol=1e-8)
         assert cache is None
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inference_bits_equal_the_expression(self, order):
+        rng = np.random.default_rng(21)
+        s = BatchNormState(gamma=rng.normal(size=6), beta=rng.normal(size=6),
+                           running_mean=rng.normal(size=6), running_var=rng.random(6) * 4.0)
+        s.running_var[2] = 0.0  # a zero-variance column, fed its constant
+        x = np.asarray(rng.normal(0.0, 30.0, size=(97, 6)), order=order)
+        x[:, 2] = s.running_mean[2]
+        before = x.copy()
+        y, cache = batchnorm_forward(x, s, train=False)
+        expected = s.gamma * (x - s.running_mean) * (1.0 / np.sqrt(s.running_var + nn_core.BN_EPSILON)) + s.beta
+        assert y.tobytes() == expected.tobytes()
+        assert cache is None and x.tobytes() == before.tobytes()
+
     def test_single_row_train_rejected(self):
         s = BatchNormState.create(2)
         with pytest.raises(DegenerateBatchError):

@@ -387,6 +387,88 @@ class TestMemory:
         assert nn_core.keep_freed_pages() is first
 
 
+
+# The criterion-8 config (tests/test_acceptance.py), and one whose trained
+# bits two OpenBLAS threads used to change: at h=64 and batch 2,049 they
+# round some products' sums differently from one thread
+THREAD_COUNT_DOCS = {
+    "criterion-8": {
+        "seed": 123,
+        "data": {"kind": "synth", "rows": [800, 200, 200], "columns": 8, "prevalence": 0.1},
+        "encoder": {"kind": "qle", "n_bins": 16},
+        "model": {"hidden_dim": 16, "kan_layers": 1, "gmlp_layers": 1, "dropout": 0.3},
+        "train": {"batch_size": 256, "max_epochs": 4},
+    },
+    "h64-batch-2049": {
+        "seed": 7,
+        "data": {"kind": "synth", "rows": [6_150, 1_024, 256], "columns": 8, "prevalence": 0.2},
+        "encoder": {"kind": "qle", "n_bins": 16},
+        "model": {"hidden_dim": 64, "kan_layers": 2, "gmlp_layers": 2, "dropout": 0.3},
+        "train": {"batch_size": 2_049, "max_epochs": 1},
+    },
+}
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def blas(self):
+        calls = nn_core._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS its wheel bundles")
+        get, set_ = calls
+        before = get()
+        yield get, set_
+        set_(before)
+
+    def test_training_runs_at_one_thread_and_puts_the_count_back(self, blas):
+        get, set_ = blas
+        set_(2)
+        x, y = separable_dataset(200)
+        counts = []
+        model = build_model(ModelConfig(input_dim=2, hidden_dim=8), seed=0)
+        train(model, (x[:150], y[:150]), (x[150:], y[150:]), TrainConfig(batch_size=64, max_epochs=2),
+              on_epoch=lambda stats: counts.append(get()))
+        assert counts == [1, 1]
+        assert get() == 2
+
+    def test_count_put_back_after_an_error(self, blas):
+        get, set_ = blas
+        set_(2)
+        with pytest.raises(nn_core.ShapeError, match="inside"):
+            with nn_core.one_blas_thread():
+                assert get() == 1
+                raise nn_core.ShapeError("inside")
+        assert get() == 2
+
+    @pytest.mark.parametrize("lib", [None, types.SimpleNamespace()], ids=["no library", "no thread calls"])
+    def test_no_op_without_openblas(self, lib, monkeypatch):
+        def cdll(name):
+            if lib is None:
+                raise OSError("cannot open")
+            return lib
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert nn_core._blas_thread_calls.__wrapped__() is None
+        monkeypatch.setattr(nn_core, "_blas_thread_calls", lambda: None)
+        with nn_core.one_blas_thread():
+            pass
+
+    @pytest.mark.parametrize("name", THREAD_COUNT_DOCS)
+    def test_trained_bits_do_not_depend_on_the_environment_count(self, tmp_path, name):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**THREAD_COUNT_DOCS[name], "output_dir": str(out)}))
+        runs = {}
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-m", "tkgmlp", "fit", "--config", str(cfg)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = [(out / name).read_bytes() for name in ("model.ckpt", "epochs.tsv")]
+        assert runs[None] == runs["1"] == runs["2"]
+
 class TestDeriveSeed:
     def test_stable_values(self):
         assert derive_seed(42, "grid:0") == derive_seed(42, "grid:0")
