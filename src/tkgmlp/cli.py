@@ -4,7 +4,8 @@ Each run is driven by one JSON config document (see config.py); individual
 keys can be overridden with ``--set a.b=value`` and every command honors a
 global ``--seed``. Exit codes: 0 success, 1 usage/config error, 2
 runtime/numeric failure. The TKGMLP_LOG environment variable (debug, info,
-warning) controls log verbosity.
+warning) controls log verbosity. Every file a command writes goes through
+``data.replacing_open``: it appears whole, or is left as it was.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def _csv_columns(section: dict):
 def _resolve_splits(cfg: RunConfig):
     """Returns (train, valid, test) Datasets plus per-split oracle probs (or None).
 
-    The test file of a CSV train/valid/test triple is not read, as no
-    command that trains uses it: its test is None.
+    A CSV ``train``/``valid`` pair has no test split: its test is None, as
+    no command that trains uses one. Score a held-out file with
+    ``evaluate``.
     """
     section = cfg.data
     if section["kind"] == "synth":
@@ -102,7 +104,6 @@ def _resolve_splits(cfg: RunConfig):
         spec = data_mod.SyntheticTaskSpec(
             columns=tuple(data_mod.default_columns(section.get("columns", 32))),
             prevalence=section.get("prevalence", data_mod.DEFAULT_PREVALENCE),
-            signal_scale=section.get("signal_scale", 2.0),
             seed=derive_seed(cfg.seed, "data"),
         )
         ds, probs = data_mod.synth_generate(spec, sum(rows))
@@ -164,7 +165,7 @@ def cmd_synth(args) -> int:
     for name, ds in zip(names, (train_ds, valid_ds, test_ds)):
         data_mod.write_csv(out_dir / f"{name}.csv", ds)
         log.info("wrote %s (%d rows)", out_dir / f"{name}.csv", ds.n_rows)
-    with open(out_dir / "oracle.csv", "w", newline="") as fh:
+    with data_mod.replacing_open(out_dir / "oracle.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["split", "row", "oracle_p"])
         for name, probs in zip(names, oracles):
@@ -184,7 +185,7 @@ def cmd_fit(args) -> int:
     result = trainer_mod.train(mdl, train_data, valid_data, train_cfg,
                                on_epoch=lambda stats: print(stats.log_line(with_elapsed=True)))
     log_path = out_dir / EPOCH_LOG_NAME
-    with open(log_path, "w") as fh:
+    with data_mod.replacing_open(log_path) as fh:
         fh.write("epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n")
         fh.write("".join(stats.log_line(with_elapsed=False) + "\n" for stats in result.history))
     validated = result.best_epoch >= 0  # False when training diverged in its first epoch
@@ -244,7 +245,7 @@ def cmd_grid(args) -> int:
 
     ranked = trainer_mod.grid_search(space, base_cfg, train_data, valid_data, train_cfg, on_result=on_result)
     results_path = out_dir / GRID_RESULTS_NAME
-    with open(results_path, "w") as fh:
+    with data_mod.replacing_open(results_path) as fh:
         fh.write("rank\tconfig_index\tseed\tvalid_ks_pct\tvalid_auc_pct\tbest_epoch\terror\tconfig\n")
         for rank, r in enumerate(ranked):
             ks_txt = metrics_mod.format_percent(r.best_ks) if np.isfinite(r.best_ks) else "nan"

@@ -2,16 +2,18 @@
 
 Unknown keys are rejected so typos fail before any work starts. The
 sections are ``data``, ``encoder``, ``model``, ``train`` and ``grid``, beside
-the top-level ``seed`` and ``output_dir``. The ``model`` and ``train`` keys
-are the fields of ``ModelConfig`` (less ``input_dim``) and ``TrainConfig``
-(less ``seed``); those sections are checked for type and range by
-building the two configs, whose own checks use the ``require_*`` helpers
-here, and so is each ``grid`` cell, built whole over the ``model`` section
-as the sweep builds it. The ``data`` and ``encoder`` values are checked
-with the same helpers. The protocol's fixed values (Adam's moments and
-epsilon, the learning rate's decay) are constants in ``trainer``, not keys.
-Individual keys can be overridden from the command line with
-``--set a.b=value``.
+the top-level ``seed`` and ``output_dir``. A CSV ``data`` section names one
+file, ``path`` (split by ``fractions``), or a ``train`` and ``valid`` pair.
+The ``model``, ``train`` and ``grid`` keys are the fields of ``ModelConfig``
+(less ``input_dim``), ``TrainConfig`` (less ``seed``) and
+``trainer.GridSpace``; the first two sections are checked by building the
+configs, whose own checks use the ``require_*`` helpers here, and so is
+each ``grid`` cell, built whole over ``model`` as the sweep builds it. The
+``data`` and ``encoder`` values are checked with the same helpers. What the
+paper fixes is a constant, not a key: Adam's moments and epsilon and the
+learning rate's decay in ``trainer``, the spline's degree and range in
+``model``, the synthetic signal scale in ``data``. Individual keys can be
+overridden from the command line with ``--set a.b=value``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,7 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-_DATA_KEYS = {
-    "kind", "path", "train", "valid", "test", "label", "time", "ignore",
-    "fractions", "rows", "columns", "prevalence", "signal_scale",
-}
+_DATA_KEYS = {"kind", "path", "train", "valid", "label", "time", "ignore", "fractions", "rows", "columns", "prevalence"}
 _ENCODER_KEYS = {"kind", "n_bins", "categorical"}
 
 
@@ -55,14 +54,6 @@ def require_number(name: str, value, test, text: str):
         raise ConfigError(f"{name} must be a finite number {text}, got {value!r}")
 
 
-def require_range(name: str, value):
-    """Raise ConfigError unless ``value`` is a pair of finite numbers, low < high."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_finite_number, value)) and value[0] < value[1]):
-        raise ConfigError(f"{name} must be a list [low, high] of finite numbers with low < high, got {value!r}")
-
-
-_GRID_KEYS = {"gmlp_layers", "kan_layers", "grid_size", "hidden_dim", "dropout"}
 _TOP_KEYS = {"seed", "output_dir", "data", "encoder", "model", "train", "grid"}
 
 
@@ -112,7 +103,7 @@ class RunConfig:
         _check_keys(self.encoder, _ENCODER_KEYS, "encoder")
         # Imported here: both modules import this one for ConfigError.
         from .model import ModelConfig
-        from .trainer import TrainConfig
+        from .trainer import GridSpace, TrainConfig
 
         _check_keys(self.model, {f.name for f in fields(ModelConfig)} - {"input_dim"}, "model")
         _check_keys(self.train, {f.name for f in fields(TrainConfig)} - {"seed"}, "train")
@@ -125,7 +116,7 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"train.{exc}") from None
         if self.grid is not None:
-            _check_keys(self.grid, _GRID_KEYS, "grid")
+            _check_keys(self.grid, {f.name for f in fields(GridSpace)}, "grid")
             for key, values in self.grid.items():
                 if not (isinstance(values, list) and values):
                     raise ConfigError(f"grid.{key} must be a non-empty list, got {values!r}")
@@ -138,10 +129,8 @@ class RunConfig:
         if kind not in ("csv", "synth"):
             raise ConfigError(f"data.kind must be 'csv' or 'synth', got {kind!r}")
         if kind == "csv":
-            has_single = "path" in self.data
-            has_triple = all(k in self.data for k in ("train", "valid", "test"))
-            if not (has_single or has_triple):
-                raise ConfigError("data: csv needs either 'path' (+fractions) or train/valid/test paths")
+            if not ("path" in self.data or ("train" in self.data and "valid" in self.data)):
+                raise ConfigError("data: csv needs either 'path' (+fractions) or train/valid paths")
         else:
             rows = self.data.get("rows")
             if not (isinstance(rows, list) and len(rows) == 3):
@@ -152,8 +141,6 @@ class RunConfig:
             require_int("data.columns", self.data["columns"], 1)
         if "prevalence" in self.data:
             require_number("data.prevalence", self.data["prevalence"], lambda v: 0.0 < v <= 0.5, "in (0, 0.5]")
-        if "signal_scale" in self.data:
-            require_number("data.signal_scale", self.data["signal_scale"], lambda v: v >= 0.0, ">= 0")
         fractions = self.data.get("fractions", [0.6, 0.2, 0.2])
         if not (isinstance(fractions, list) and len(fractions) == 3
                 and all(_finite_number(f) and f > 0.0 for f in fractions) and sum(fractions) <= 1.0 + 1e-12):

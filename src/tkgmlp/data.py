@@ -24,6 +24,7 @@ from . import metrics, nn_core
 
 FAMILIES = ("gaussian", "exponential", "beta", "zip")
 DEFAULT_PREVALENCE = 0.0047  # positive-class share of the reference task
+SIGNAL_SCALE = 2.0  # standard deviation of the synthetic task's logit before its intercept
 
 
 class DataError(ValueError):
@@ -456,11 +457,11 @@ def default_columns(n_columns: int = 32) -> list[SyntheticColumnSpec]:
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
-    """Column mix plus the logistic label model and its target prevalence."""
+    """Column mix plus the logistic label model and its target prevalence.
+    The logit's spread is the constant ``SIGNAL_SCALE``, not a field."""
 
     columns: tuple[SyntheticColumnSpec, ...]
     prevalence: float = DEFAULT_PREVALENCE
-    signal_scale: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -490,7 +491,8 @@ def synth_generate(spec: SyntheticTaskSpec, n_rows: int) -> tuple[Dataset, np.nd
 
     Labels are Bernoulli draws of sigmoid(w . phi(x) + b): phi applies a
     fixed smooth transform (identity / square / soft threshold) to each of a
-    random half of the columns after population standardization; b is
+    random half of the columns after population standardization, and the
+    sum is standardized and scaled to a spread of ``SIGNAL_SCALE``; b is
     bisected so the mean probability hits the prevalence target.
     """
     d = len(spec.columns)
@@ -512,7 +514,7 @@ def synth_generate(spec: SyntheticTaskSpec, n_rows: int) -> tuple[Dataset, np.nd
         col = spec.columns[j]
         standardized = (features[:, j] - col.mean()) / max(col.std(), 1e-12)
         z += w * _apply_transform(_TRANSFORMS[int(k)], standardized, theta)
-    z = spec.signal_scale * (z - z.mean()) / max(z.std(), 1e-12)
+    z = SIGNAL_SCALE * (z - z.mean()) / max(z.std(), 1e-12)
 
     intercept = _calibrate_intercept(z, spec.prevalence)
     probs = nn_core.sigmoid(z + intercept)

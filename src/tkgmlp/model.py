@@ -8,16 +8,19 @@ with dropout after every KAN layer, and either stack allowed to be empty
 (pure-gMLP and pure-KAN ablations).
 Training stops at the logits, which ``nn_core.bce_loss`` takes; inference
 returns scores = sigmoid(logits), per-row probabilities in [0, 1].
+Every KAN layer uses the paper's one spline shape, cubic B-splines on a
+uniform grid over [-1, 1] (Liu et al., arXiv:2404.19756), so
+``SPLINE_DEGREE`` and ``SPLINE_RANGE`` are constants, not settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import gmlp, kan, nn_core
-from .config import ConfigError, require_int, require_number, require_range
+from .config import ConfigError, require_int, require_number
 from .spline import build_knots
 
 # Rows per inference forward in predict (timings in its docstring). At 1,024
@@ -27,39 +30,38 @@ from .spline import build_knots
 # from DRAM. Peak memory is set by one block, not by the number of rows.
 PREDICT_BLOCK_ROWS = 1_024
 
+SPLINE_DEGREE = 3
+SPLINE_RANGE = (-1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """The ``model`` config section's keys, plus ``input_dim``, which the
-    fitted encoder's output width sets."""
+    fitted encoder's output width sets. The paper fixes the spline's degree
+    and range (``SPLINE_DEGREE``, ``SPLINE_RANGE``); a run sets its grid size."""
 
     input_dim: int
     hidden_dim: int = 64
     kan_layers: int = 1
     gmlp_layers: int = 1
     grid_size: int = 5
-    spline_degree: int = 3
     dropout: float = 0.0
-    spline_range: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
-        for name, low in (("input_dim", 1), ("hidden_dim", 1), ("kan_layers", 0), ("gmlp_layers", 0),
-                          ("grid_size", 1), ("spline_degree", 0)):
+        for name, low in (("input_dim", 1), ("hidden_dim", 1), ("kan_layers", 0), ("gmlp_layers", 0), ("grid_size", 1)):
             require_int(name, getattr(self, name), low)
         if self.kan_layers == 0 and self.gmlp_layers == 0:
             raise ConfigError("kan_layers and gmlp_layers cannot both be 0")
         require_number("dropout", self.dropout, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-        require_range("spline_range", self.spline_range)
         try:
-            build_knots(self.grid_size, self.spline_degree, self.spline_range)
+            build_knots(self.grid_size, SPLINE_DEGREE, SPLINE_RANGE)
         except ValueError as exc:
-            raise ConfigError(f"spline_range must give a usable knot grid: {exc}") from None
-        object.__setattr__(self, "spline_range", tuple(float(v) for v in self.spline_range))
+            raise ConfigError(f"grid_size must give a usable knot grid: {exc}") from None
+
+    spline_degree = property(lambda self: SPLINE_DEGREE)  # read by perfbench's flop counts
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["spline_range"] = list(self.spline_range)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -185,7 +187,7 @@ def build_model(cfg: ModelConfig, seed: int) -> TkgmlpModel:
     dim = cfg.input_dim
     for _ in range(cfg.kan_layers):
         kan_stack.append(
-            kan.kan_init(dim, cfg.hidden_dim, cfg.grid_size, cfg.spline_degree, cfg.spline_range, rng)
+            kan.kan_init(dim, cfg.hidden_dim, cfg.grid_size, SPLINE_DEGREE, SPLINE_RANGE, rng)
         )
         dim = cfg.hidden_dim
     gmlp_stack = []

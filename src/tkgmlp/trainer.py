@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -247,7 +248,9 @@ def derive_seed(base_seed: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class GridSpace:
-    """Candidate lists; the defaults enumerate the full 96-point search space."""
+    """Candidate lists; the defaults enumerate the full 96-point search space.
+    The fields are the ``grid`` section's keys, each a ``ModelConfig`` field,
+    named only here; their order is the product's, which fixes cell indices."""
 
     gmlp_layers: tuple[int, ...] = (1, 2)
     kan_layers: tuple[int, ...] = (1, 2)
@@ -256,18 +259,13 @@ class GridSpace:
     dropout: tuple[float, ...] = (0.0, 0.3, 0.5, 0.7)
 
     def configurations(self) -> list[dict]:
-        """Cartesian product in deterministic field order."""
-        combos = itertools.product(self.gmlp_layers, self.kan_layers, self.grid_size,
-                                   self.hidden_dim, self.dropout)
-        return [
-            {"gmlp_layers": g, "kan_layers": k, "grid_size": gs, "hidden_dim": h, "dropout": d}
-            for g, k, gs, h, d in combos
-        ]
+        """Cartesian product in field order, one {field: value} per cell."""
+        names = [f.name for f in fields(self)]
+        return [dict(zip(names, cell)) for cell in itertools.product(*(getattr(self, n) for n in names))]
 
     @property
     def size(self) -> int:
-        return (len(self.gmlp_layers) * len(self.kan_layers) * len(self.grid_size)
-                * len(self.hidden_dim) * len(self.dropout))
+        return math.prod(len(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass

@@ -10,7 +10,6 @@ from tkgmlp.cli import main as cli_main
 from tkgmlp.data import Dataset, write_csv
 from tkgmlp.encoders import EncoderSpec
 from tkgmlp.model import ModelConfig, build_model
-from tkgmlp.trainer import TrainConfig, train
 
 
 @pytest.fixture
@@ -106,13 +105,18 @@ class TestVersioning:
             load_checkpoint(path)
 
 
-def _replace_array(path, name, arr):
-    """Rewrite one array member of a saved checkpoint."""
-    with zipfile.ZipFile(path) as zf:
-        members = {n: zf.read(n) for n in zf.namelist()}
+def _npy(arr) -> bytes:
     buf = io.BytesIO()
     np.lib.format.write_array(buf, arr)
-    members[f"arrays/{name}.npy"] = buf.getvalue()
+    return buf.getvalue()
+
+
+def _replace_array(path, name, arr):
+    """Rewrite one array member of a saved checkpoint, as ``arr`` in ``.npy``
+    form, or as ``arr`` itself where it is bytes."""
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    members[f"arrays/{name}.npy"] = arr if isinstance(arr, bytes) else _npy(arr)
     with zipfile.ZipFile(path, "w") as zf:
         for member, payload in members.items():
             zf.writestr(member, payload)
@@ -120,11 +124,12 @@ def _replace_array(path, name, arr):
 
 def _rewrite_meta(path, edit):
     """Replace a saved checkpoint's meta.json with edit(its parsed JSON),
-    written back as JSON unless edit returns bytes."""
+    written back as JSON unless edit returns bytes; None drops the member."""
     with zipfile.ZipFile(path) as zf:
         members = {n: zf.read(n) for n in zf.namelist()}
-    meta = edit(json.loads(members["meta.json"]))
-    members["meta.json"] = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+    meta = edit(json.loads(members.pop("meta.json")))
+    if meta is not None:
+        members["meta.json"] = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
     with zipfile.ZipFile(path, "w") as zf:
         for member, payload in members.items():
             zf.writestr(member, payload)
@@ -136,6 +141,10 @@ def _first_nan(a):
     return a
 
 
+def _truncated_npy(a):
+    return _npy(a)[:-8]
+
+
 class TestArrayValidation:
     @pytest.mark.parametrize("name, corrupt, reason", [
         ("head.weight", _first_nan, "NaN or Inf"),
@@ -144,6 +153,8 @@ class TestArrayValidation:
         ("gmlp.0.bn.running_var", lambda a: a - a.max() - 1e-12, "negative variance"),
         ("head.bias", lambda a: a.astype(np.int64), "dtype int64"),
         ("gmlp.0.gate.weight", lambda a: a.astype(np.complex128), "dtype complex128"),
+        ("head.bias", _truncated_npy, "is unreadable: "),
+        ("kan.0.coeffs", lambda a: a[:, :, :-1], "has shape"),
     ])
     def test_bad_array_rejected(self, tmp_path, fitted_pieces, name, corrupt, reason):
         _, encoder, model = fitted_pieces
@@ -157,6 +168,8 @@ class TestArrayValidation:
     @pytest.mark.parametrize("name, corrupt", [
         ("head.weight", _first_nan),
         ("input_bn.running_var", lambda a: -a),
+        ("head.bias", _truncated_npy),
+        ("kan.0.coeffs", lambda a: a[:, :, :-1]),
     ])
     def test_evaluate_exits_two(self, tmp_path, capsys, fitted_pieces, name, corrupt):
         features, encoder, model = fitted_pieces
@@ -182,9 +195,16 @@ class TestMetaValidation:
         (lambda meta: {**meta, "encoder": {}}, "invalid encoder: KeyError: 'kind'"),
         (lambda meta: {**meta, "model_config": {**meta["model_config"], "dropout_after_each_kan": True}},
          "invalid model_config: ModelConfig.__init__() got an unexpected keyword argument 'dropout_after_each_kan'"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "spline_degree": 3}},
+         "invalid model_config: ModelConfig.__init__() got an unexpected keyword argument 'spline_degree'"),
+        (lambda meta: {**meta, "model_config": {**meta["model_config"], "spline_range": [-1.0, 1.0]}},
+         "invalid model_config: ModelConfig.__init__() got an unexpected keyword argument 'spline_range'"),
+        (lambda meta: None, "missing meta.json member"),
+        (lambda meta: {**meta, "arrays": meta["arrays"][:-1]}, "missing array 'head.bias'"),
     ]
     IDS = ["not-json", "a-list", "no-model-config", "input-dim-zero", "run-config-list", "arrays-int", "encoder-empty",
-           "removed-model-key"]
+           "removed-model-key", "removed-spline-degree", "removed-spline-range", "no-meta-member",
+           "array-not-listed"]
 
     @pytest.mark.parametrize("edit, problem", CASES, ids=IDS)
     def test_bad_meta_rejected(self, tmp_path, fitted_pieces, edit, problem):
@@ -236,24 +256,3 @@ def test_array_layout_pinned(tmp_path):
         assert json.loads(zf.read("meta.json"))["arrays"] == expected
         assert zf.namelist() == ["meta.json"] + [f"arrays/{n}.npy" for n in expected]
 
-
-@pytest.mark.parametrize("overrides", [{"spline_degree": 0}, {"spline_range": (100.0, 100.01)}])
-def test_recursion_configs_train_and_round_trip(tmp_path, overrides):
-    """Configs that the Cox-de Boor recursion once evaluated in the library
-    (degree 0, or a range whose knots round off a uniform step) train, save
-    and load through the per-cell polynomials."""
-    rng = np.random.default_rng(5)
-    features = rng.normal(size=(120, 4))
-    labels = (features[:, 0] + rng.normal(size=120) > 0.0).astype(float)
-    encoder = EncoderSpec.fit(features, kind="qle", n_bins=8)
-    x = encoder.transform(features)
-    cfg = ModelConfig(input_dim=encoder.output_dim, hidden_dim=8, kan_layers=2, gmlp_layers=1, **overrides)
-    model = build_model(cfg, seed=3)
-    before = model.snapshot()
-    train(model, (x[:80], labels[:80]), (x[80:], labels[80:]), TrainConfig(batch_size=16, max_epochs=1, lr0=0.01))
-    assert any(not np.array_equal(arr, before[name]) for name, arr, _ in model.named_arrays())
-    scores = model.predict(x)
-    assert np.all(np.isfinite(scores))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, encoder, {}, {})
-    assert np.array_equal(load_checkpoint(path).model.predict(x), scores)

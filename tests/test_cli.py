@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from tkgmlp import data, trainer
+from tkgmlp import cli, data, trainer
 from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main
 from tkgmlp.data import Dataset, load_csv, write_csv
@@ -38,6 +38,13 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def assert_left_whole(path, before: bytes):
+    """``path`` still holds ``before`` after a failed rewrite, and no
+    temporary file is left beside it."""
+    assert path.read_bytes() == before
+    assert not list(path.parent.glob(".*.tmp"))
 
 
 class TestSynth:
@@ -80,6 +87,26 @@ class TestSynth:
         assert run_cli("synth", "--config", cfg) == 1
         assert "synth command needs data.kind = 'synth'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_oracle_write_leaves_the_old_file(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        assert run_cli("synth", "--config", cfg) == 0
+        oracle = tmp_path / "out" / "oracle.csv"
+        before = oracle.read_bytes()
+        resolve = cli._resolve_splits
+
+        def failing_halfway(probs):
+            yield from probs[:5]
+            raise OSError("No space left on device")
+
+        def with_a_failing_oracle(run_cfg):
+            *splits, oracles = resolve(run_cfg)
+            return (*splits, (*oracles[:2], failing_halfway(oracles[2])))
+
+        monkeypatch.setattr(cli, "_resolve_splits", with_a_failing_oracle)
+        assert run_cli("synth", "--config", cfg) == 2
+        assert "OSError: No space left on device" in capsys.readouterr().err
+        assert_left_whole(oracle, before)
 
 
 class TestFit:
@@ -137,25 +164,23 @@ class TestFit:
         assert np.array_equal(stored, fit_on_train.bins[0].boundaries)
         assert not np.array_equal(stored, refit.bins[0].boundaries)
 
-    def csv_triple(self, tmp_path, name, order=None):
-        """The synth splits as a CSV triple; valid and test with their columns
+    def csv_pair(self, tmp_path, name, order=None):
+        """The synth splits as a CSV train/valid pair; valid with its columns
         in ``order`` (an index list), or without the columns it leaves out."""
         src = tmp_path / "data"
         if not src.exists():
             run_cli("synth", "--config", write_config(tmp_path), "--set", f"output_dir={src}")
-        paths = {"train": src / "train.csv"}
-        for split in ("valid", "test"):
-            ds = load_csv(src / f"{split}.csv")
-            keep = range(len(ds.feature_names)) if order is None else order
-            paths[split] = tmp_path / f"{name}.{split}.csv"
-            write_csv(paths[split], Dataset(ds.features[:, keep], ds.labels, [ds.feature_names[j] for j in keep]))
-        data = {"kind": "csv", **{k: str(v) for k, v in paths.items()}}
+        ds = load_csv(src / "valid.csv")
+        keep = range(len(ds.feature_names)) if order is None else order
+        valid = tmp_path / f"{name}.valid.csv"
+        write_csv(valid, Dataset(ds.features[:, keep], ds.labels, [ds.feature_names[j] for j in keep]))
+        data = {"kind": "csv", "train": str(src / "train.csv"), "valid": str(valid)}
         return write_config(tmp_path, name=f"{name}.json", output_dir=str(tmp_path / name), data=data)
 
     def test_csv_triple_matched_by_name(self, tmp_path):
         artifacts = []
         for name, order in (("plain", None), ("permuted", [3, 0, 7, 5, 1, 6, 2, 4])):
-            assert run_cli("fit", "--config", self.csv_triple(tmp_path, name, order)) == 0
+            assert run_cli("fit", "--config", self.csv_pair(tmp_path, name, order)) == 0
             out = tmp_path / name
             with zipfile.ZipFile(out / "model.ckpt") as zf:
                 arrays = {m: zf.read(m) for m in zf.namelist() if m.startswith("arrays/")}
@@ -163,17 +188,8 @@ class TestFit:
         assert artifacts[0] == artifacts[1]
         assert len(artifacts[0][1]) > 1
 
-    def test_csv_triple_never_reads_test(self, tmp_path):
-        cfg = self.csv_triple(tmp_path, "triple")
-        assert run_cli("fit", "--config", cfg) == 0
-        ckpt = tmp_path / "triple" / "model.ckpt"
-        first = ckpt.read_bytes()
-        (tmp_path / "triple.test.csv").unlink()
-        assert run_cli("fit", "--config", cfg) == 0
-        assert ckpt.read_bytes() == first
-
     def test_csv_triple_missing_column_exits_two(self, tmp_path, capsys):
-        cfg = self.csv_triple(tmp_path, "dropped", order=list(range(1, 8)))
+        cfg = self.csv_pair(tmp_path, "dropped", order=list(range(1, 8)))
         assert run_cli("fit", "--config", cfg) == 2
         assert "dropped.valid.csv: feature columns are not the 8 training columns in some order: " \
                "missing ['x00'], extra []" in capsys.readouterr().err
@@ -182,6 +198,23 @@ class TestFit:
         cfg = write_config(tmp_path)
         assert run_cli("fit", "--config", cfg, "--set", 'encoder.categorical=["x01","nope"]') == 1
         assert "encoder.categorical names ['nope'] not in the data" in capsys.readouterr().err
+
+    def test_failed_epoch_log_write_leaves_the_old_file(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        assert run_cli("fit", "--config", cfg) == 0
+        log_path = tmp_path / "out" / "epochs.tsv"
+        before = log_path.read_bytes()
+        log_line = trainer.EpochStats.log_line
+
+        def failing_in_the_file(stats, with_elapsed=True):
+            if not with_elapsed and stats.epoch == 1:
+                raise OSError("No space left on device")
+            return log_line(stats, with_elapsed)
+
+        monkeypatch.setattr(trainer.EpochStats, "log_line", failing_in_the_file)
+        assert run_cli("fit", "--config", cfg) == 2
+        assert "OSError: No space left on device" in capsys.readouterr().err
+        assert_left_whole(log_path, before)
 
     def test_divergence_before_the_first_validation_reports_no_best(self, tmp_path, monkeypatch, capsys):
         def diverged(*args, **kwargs):
@@ -205,8 +238,7 @@ class TestEvaluate:
         # small easy dataset + enough epochs: training-set KS should be high
         cfg = write_config(
             tmp_path,
-            data={"kind": "synth", "rows": [300, 120, 120], "columns": 4, "prevalence": 0.3,
-                  "signal_scale": 4.0},
+            data={"kind": "synth", "rows": [300, 120, 120], "columns": 4, "prevalence": 0.3},
             train={"batch_size": 64, "max_epochs": 25, "lr0": 0.01},
         )
         run_cli("fit", "--config", cfg)
@@ -288,6 +320,47 @@ class TestGrid:
         lines = (tmp_path / "out" / "grid_results.tsv").read_text().splitlines()
         assert [line.split("\t")[1] for line in lines[1:]] == ["0", "1"]
         assert all("UndefinedMetricError" in line for line in lines[1:])
+
+    def test_every_config_diverging_exits_two(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            grid={"gmlp_layers": [1], "kan_layers": [1], "grid_size": [5],
+                  "hidden_dim": [8, 16], "dropout": [0.0]},
+            train={"max_epochs": 2, "batch_size": 128, "lr0": 1e300},
+        )
+        assert run_cli("grid", "--config", cfg) == 2
+        out, err = capsys.readouterr()
+        assert "best_" not in out
+        assert "error: every grid config failed; config 0: diverged" in err
+        lines = (tmp_path / "out" / "grid_results.tsv").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(line.split("\t")[3:7] == ["nan", "nan", "-1", "diverged"] for line in lines[1:])
+
+    def test_failed_results_write_leaves_the_old_file(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(
+            tmp_path,
+            grid={"gmlp_layers": [1], "kan_layers": [1], "grid_size": [5],
+                  "hidden_dim": [8, 16], "dropout": [0.0]},
+            train={"max_epochs": 2, "batch_size": 128},
+        )
+        assert run_cli("grid", "--config", cfg) == 0
+        results = tmp_path / "out" / "grid_results.tsv"
+        before = results.read_bytes()
+        grid_search = trainer.grid_search
+
+        class Unwritable(dict):
+            def items(self):
+                raise OSError("No space left on device")
+
+        def second_row_unwritable(*args, **kwargs):
+            ranked = grid_search(*args, **kwargs)
+            ranked[1].overrides = Unwritable(ranked[1].overrides)
+            return ranked
+
+        monkeypatch.setattr(trainer, "grid_search", second_row_unwritable)
+        assert run_cli("grid", "--config", cfg) == 2
+        assert "OSError: No space left on device" in capsys.readouterr().err
+        assert_left_whole(results, before)
 
     def test_grid_requires_section(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -491,7 +564,6 @@ class TestCsvPipeline:
                 "kind": "csv",
                 "train": str(tmp_path / "data" / "train.csv"),
                 "valid": str(tmp_path / "data" / "valid.csv"),
-                "test": str(tmp_path / "data" / "test.csv"),
             },
         )
         assert run_cli("fit", "--config", csv_cfg) == 0
@@ -523,11 +595,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "model.hidden_dim=0",
         "model.grid_size=2.5",
+        "model.grid_size=10000000000000000000000",  # too big for a knot grid
         "train.batch_size=1",
         'model.dropout="x"',
         "data.prevalence=2",
         'data.columns="x"',
-        'data.signal_scale="a"',
         "data.fractions=[0.5]",
         "data.fractions=[0.6,0.6,0.2]",
         "grid.dropout=5",
@@ -558,6 +630,10 @@ class TestExitCodes:
         "train.lr_decay_factor=0.9",
         "train.lr_decay_every=20",
         "model.dropout_after_each_kan=true",
+        "model.spline_degree=2",
+        "model.spline_range=[-2,2]",
+        "data.signal_scale=1e308",
+        'data.test="x.csv"',
     ])
     def test_protocol_constant_is_not_a_key(self, tmp_path, capsys, override):
         section, key = override.split("=")[0].split(".")

@@ -68,8 +68,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("section, key, value", [
         ("model", "hidden_dim", True),
-        ("model", "spline_degree", -1),
-        ("model", "spline_range", [1.0, -1.0]),
+        ("model", "grid_size", 0),
+        ("model", "dropout", 1.0),
         ("train", "lr0", float("inf")),
         (None, "seed", True),
         (None, "output_dir", 5),
@@ -92,12 +92,13 @@ class TestValidation:
         [1e300, float(np.nextafter(1e300, np.inf))],
     ])
     def test_degenerate_spline_range_exits_one(self, tmp_path, capsys, spline_range):
-        """Ranges whose knots are not finite and strictly increasing, or
-        whose step has no finite inverse, fail as config errors."""
+        """Ranges whose knots would not be finite and strictly increasing, or
+        whose step would have no finite inverse, fail as config errors: the
+        range is the constant ``model.SPLINE_RANGE``, so the key is unknown."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(synth_doc(output_dir=str(tmp_path / "out"))))
         assert main(["fit", "--config", str(path), "--set", f"model.spline_range={json.dumps(spline_range)}"]) == 1
-        assert "model.spline_range" in capsys.readouterr().err
+        assert "model: unknown keys ['spline_range']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_model_without_layers(self):

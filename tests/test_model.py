@@ -12,15 +12,14 @@ from .helpers import finite_difference_grad, rel_err
 
 def tiny_config(**overrides):
     base = dict(input_dim=6, hidden_dim=8, kan_layers=1, gmlp_layers=1,
-                grid_size=5, spline_degree=3, dropout=0.0)
+                grid_size=5, dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
 
 
 class TestBuild:
     def test_parameter_count_m1_n1(self):
-        cfg = ModelConfig(input_dim=8, hidden_dim=16, kan_layers=1, gmlp_layers=1,
-                          grid_size=5, spline_degree=3)
+        cfg = ModelConfig(input_dim=8, hidden_dim=16, kan_layers=1, gmlp_layers=1, grid_size=5)
         m = build_model(cfg, seed=0)
         n_basis = 5 + 3
         expected = (
@@ -55,8 +54,7 @@ class TestBuild:
             tiny_config(kan_layers=0, gmlp_layers=0)
 
     @pytest.mark.parametrize("key, value", [
-        ("hidden_dim", True), ("grid_size", 2.5), ("spline_degree", -1), ("dropout", "x"),
-        ("dropout", float("nan")), ("spline_range", (1.0, -1.0)),
+        ("hidden_dim", True), ("grid_size", 2.5), ("dropout", "x"), ("dropout", float("nan")),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
@@ -272,6 +270,6 @@ class TestSnapshot:
         assert np.array_equal(before, after)
 
     def test_config_roundtrip(self):
-        cfg = tiny_config(dropout=0.3, spline_range=(-2.0, 2.0))
+        cfg = tiny_config(dropout=0.3)
         clone = ModelConfig.from_dict(cfg.to_dict())
         assert clone == cfg
