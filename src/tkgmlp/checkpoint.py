@@ -33,7 +33,6 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     run_config: dict
     encoder: EncoderSpec
     model: TkgmlpModel
@@ -131,7 +130,6 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{path}: array {name!r} holds a negative variance")
             np.copyto(arr, got)
         return Checkpoint(
-            version=version,
             run_config=meta["run_config"],
             encoder=encoder,
             model=model,

@@ -5,7 +5,8 @@ KS = max over thresholds of (TPR - FPR). AUC is the Mann-Whitney statistic
 half-credited), which equals the trapezoidal area under the tie-blocked ROC
 curve. Both are rank statistics, invariant under strictly increasing score
 transforms. All counting is integer-exact; brute-force oracles must agree
-bit for bit.
+bit for bit. ``compute_metrics`` gives both from one sort; ``roc_sweep``
+gives the curve itself.
 """
 
 from __future__ import annotations
@@ -83,31 +84,18 @@ def _auc_from_blocks(tp, fp, n_pos, n_neg) -> float:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """KS, AUC, and the ROC sweep they were computed from.
-
-    ``roc`` starts with a synthetic above-all-scores origin (inf, 0, 0) and
-    ends at tpr = fpr = 1.
-    """
+    """KS and AUC of one score vector; ``roc_sweep`` gives its ROC curve."""
 
     ks: float
     auc: float
-    roc: tuple[tuple[float, float, float], ...]
-
-    def as_percent(self) -> dict[str, str]:
-        return {"ks_pct": format_percent(self.ks), "auc_pct": format_percent(self.auc)}
 
 
 def compute_metrics(scores, labels) -> MetricReport:
-    """KS, AUC and the ROC from one validation and one sort; each value is
-    ``==`` to what ``ks``, ``auc`` and ``roc_sweep`` return."""
+    """KS and AUC from one validation and one sort, each ``==`` to what
+    ``ks`` and ``auc`` return; no ROC is built (``roc_sweep`` gives it)."""
     scores, labels, n_pos, n_neg = _validate(scores, labels)
-    thresholds, tp, fp = _tie_blocks(scores, labels)
-    tpr, fpr = tp / n_pos, fp / n_neg
-    return MetricReport(
-        ks=float((tpr - fpr).max()),
-        auc=_auc_from_blocks(tp, fp, n_pos, n_neg),
-        roc=((np.inf, 0.0, 0.0), *zip(thresholds.tolist(), tpr.tolist(), fpr.tolist())),
-    )
+    _, tp, fp = _tie_blocks(scores, labels)
+    return MetricReport(ks=float((tp / n_pos - fp / n_neg).max()), auc=_auc_from_blocks(tp, fp, n_pos, n_neg))
 
 
 def format_percent(value: float) -> str:

@@ -53,24 +53,26 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, state: AdamState, lr: float):
+def adam_step(params, state: AdamState, lr: float) -> bool:
     """p -= lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments.
 
     Each parameter is updated in place, whatever its memory layout, with
-    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. A non-finite gradient
-    raises ``FloatingPointError``.
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. Returns whether every
+    second moment is finite after the update: a non-finite gradient, or
+    one whose square overflows, makes it False.
     """
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
+    finite = True
     for (param, grad), m, v in zip(params, state.m, state.v):
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"non-finite gradient for parameter of shape {param.shape}")
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * grad * grad
         param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        finite = finite and bool(np.isfinite(v).all())
+    return finite
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -167,10 +169,12 @@ def train(
     the count is left as it is, and a different count can round the
     products' sums differently.
 
-    The train forward and the loss run under ``np.errstate(over="ignore",
-    invalid="ignore")``, on the lane too (see ``nn_core.both``): a step that
-    blows up gives a non-finite loss, which ends the run as diverged,
-    instead of a ``RuntimeWarning``.
+    Each step (forward, loss, backward and Adam) runs under
+    ``np.errstate(over="ignore", invalid="ignore")``, on the lane too (see
+    ``nn_core.both``), so an overflow gives no ``RuntimeWarning``. One rule
+    ends a run as diverged: a step whose loss is not finite, or after which
+    ``adam_step`` reports a non-finite second moment. The best snapshot is
+    then restored and ``diverged`` set; that step's loss is not counted.
     """
     x_train, y_train = train_data
     x_valid, y_valid = valid_data
@@ -205,11 +209,11 @@ def train(
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits, cache = model.forward(xb, train=True, rng=rng)
                     loss, dlogits = nn_core.bce_loss(logits, yb)
-                if not np.isfinite(loss):
+                    model.backward(dlogits, cache)
+                    finite = adam_step(params, adam, lr)
+                if not (finite and np.isfinite(loss)):
                     diverged = True
                     break
-                model.backward(dlogits, cache)
-                adam_step(params, adam, lr)
                 loss_sum += loss * idx.size
             if diverged:
                 break

@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, ECDF comparisons, brute-force
-metrics, per-row CSV writing and per-column encoding, and a tracemalloc
-peak for memory guards.
+metrics, per-row CSV writing and per-column encoding, a tracemalloc
+peak for memory guards, and a child-process run of the command line under
+Python's default warning filters.
 
 These stay deliberately independent of the library code paths they check.
 The spline section holds the Cox-de Boor recursion, the oracle for the
@@ -15,6 +16,9 @@ for bit.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -36,6 +40,17 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def run_child(*args):
+    """``python -m tkgmlp *args`` in a child process, with Python's default
+    warning filters (no ``-W`` and no ``PYTHONWARNINGS``), as a user runs
+    it; the tests' own filters do not reach it. Returns the exit code,
+    stdout and stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run([sys.executable, "-m", "tkgmlp", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def finite_difference_grad(f, arr, eps=1e-5):

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 import time
 import tracemalloc
 import zipfile
@@ -14,7 +12,7 @@ from tkgmlp.cli import main
 from tkgmlp.data import Dataset, load_csv, write_csv
 from tkgmlp.encoders import EncoderSpec, fit_standardize, standardize
 
-from .helpers import per_row_write_csv
+from .helpers import per_row_write_csv, run_child
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -216,13 +214,25 @@ class TestFit:
         assert "OSError: No space left on device" in capsys.readouterr().err
         assert_left_whole(log_path, before)
 
-    def test_divergence_before_the_first_validation_reports_no_best(self, tmp_path, monkeypatch, capsys):
+    # Both real runs end at their second step with a finite loss and a
+    # non-finite second moment: a gradient square overflows (1 KAN / 1 gMLP
+    # at lr0 1e50) or a gradient is itself non-finite (2 / 2 at 1e60).
+    @pytest.mark.parametrize("layers, lr0", [(None, None), (1, 1e50), (2, 1e60)],
+                             ids=["stubbed-train", "1-1-lr1e50", "2-2-lr1e60"])
+    def test_divergence_before_the_first_validation_reports_no_best(self, tmp_path, monkeypatch, capsys, caplog,
+                                                                   layers, lr0):
         def diverged(*args, **kwargs):
             return trainer.TrainResult(history=[], best_epoch=-1, best_ks=-np.inf, best_auc=-np.inf,
                                        stopped_early=False, diverged=True)
 
-        monkeypatch.setattr(trainer, "train", diverged)
-        assert run_cli("fit", "--config", write_config(tmp_path)) == 2
+        if lr0 is None:
+            monkeypatch.setattr(trainer, "train", diverged)
+            cfg = write_config(tmp_path)
+        else:
+            cfg = write_config(tmp_path, model={"kan_layers": layers, "gmlp_layers": layers}, train={"lr0": lr0})
+        with caplog.at_level("WARNING", logger="tkgmlp"):
+            assert run_cli("fit", "--config", cfg) == 2
+        assert "training diverged before its first validation; checkpoint holds the initial parameters" in caplog.text
         assert "best_" not in capsys.readouterr().out
         out = tmp_path / "out"
         assert (out / "epochs.tsv").read_text() == "epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n"
@@ -231,6 +241,15 @@ class TestFit:
         assert meta["best"] == {"best_epoch": -1, "best_valid_ks": None, "best_valid_auc": None,
                                 "epochs_run": 0, "stopped_early": False, "diverged": True}
         assert load_checkpoint(out / "model.ckpt").best == meta["best"]
+
+    def test_divergence_without_the_warning_filter_exits_two(self, tmp_path):
+        # a user's run, with no -W error::RuntimeWarning, ends as one under it
+        cfg = write_config(tmp_path, train={"lr0": 1e50})
+        code, _, err = run_child("fit", "--config", cfg)
+        assert code == 2
+        assert "training diverged before its first validation; checkpoint holds the initial parameters" in err
+        assert "Warning" not in err
+        assert load_checkpoint(tmp_path / "out" / "model.ckpt").best["diverged"] is True
 
 
 class TestEvaluate:
@@ -321,12 +340,13 @@ class TestGrid:
         assert [line.split("\t")[1] for line in lines[1:]] == ["0", "1"]
         assert all("UndefinedMetricError" in line for line in lines[1:])
 
-    def test_every_config_diverging_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layers, lr0", [(1, 1e300), (2, 1e60)], ids=["1-1-lr1e300", "2-2-lr1e60"])
+    def test_every_config_diverging_exits_two(self, tmp_path, capsys, layers, lr0):
         cfg = write_config(
             tmp_path,
-            grid={"gmlp_layers": [1], "kan_layers": [1], "grid_size": [5],
+            grid={"gmlp_layers": [layers], "kan_layers": [layers], "grid_size": [5],
                   "hidden_dim": [8, 16], "dropout": [0.0]},
-            train={"max_epochs": 2, "batch_size": 128, "lr0": 1e300},
+            train={"max_epochs": 2, "batch_size": 128, "lr0": lr0},
         )
         assert run_cli("grid", "--config", cfg) == 2
         out, err = capsys.readouterr()
@@ -654,9 +674,5 @@ class TestExitCodes:
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "tkgmlp", "synth", "--config", str(cfg)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
+        assert run_child("synth", "--config", cfg)[0] == 0
         assert (tmp_path / "out" / "train.csv").exists()

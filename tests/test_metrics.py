@@ -13,7 +13,7 @@ from tkgmlp.metrics import (
     roc_sweep,
 )
 
-from .helpers import brute_force_auc, brute_force_ks
+from .helpers import brute_force_auc, brute_force_ks, traced_peak
 
 
 class TestRocSweep:
@@ -81,19 +81,19 @@ class TestAuc:
 
 class TestReport:
     def test_origin_and_terminus(self):
-        report = compute_metrics([0.9, 0.1, 0.5], [1, 0, 1])
-        assert report.roc[0][1] == 0.0 and report.roc[0][2] == 0.0
-        assert report.roc[-1][1] == 1.0 and report.roc[-1][2] == 1.0
+        sweep = roc_sweep([0.9, 0.1, 0.5], [1, 0, 1])
+        assert sweep[0][1:] == (0.5, 0.0)
+        assert sweep[-1] == (0.1, 1.0, 1.0)
 
     def test_ks_consistent_with_roc(self):
-        report = compute_metrics(np.random.default_rng(0).random(50),
-                                 np.random.default_rng(1).integers(0, 2, 50))
-        best = max(tpr - fpr for _, tpr, fpr in report.roc)
-        assert abs(report.ks - best) < 1e-12
+        scores = np.random.default_rng(0).random(50)
+        labels = np.random.default_rng(1).integers(0, 2, 50)
+        best = max(tpr - fpr for _, tpr, fpr in roc_sweep(scores, labels))
+        assert abs(compute_metrics(scores, labels).ks - best) < 1e-12
 
     @pytest.mark.parametrize("kind", ["random", "tie-heavy", "tied-within-each-class"])
     def test_equals_the_separate_metrics(self, kind):
-        # one sort for all three gives the values of the three separate calls
+        # one sort for both gives the values of the separate calls
         rng = np.random.default_rng(3)
         for _ in range(40):
             n = int(rng.integers(2, 300))
@@ -106,15 +106,23 @@ class TestReport:
             else:  # one score per class, equal across classes at times
                 scores = np.where(labels == 1, *rng.choice([0.25, 0.75], 2))
             report = compute_metrics(scores, labels)
-            assert report.ks == ks(scores, labels)
-            assert report.auc == auc(scores, labels)
-            assert report.roc == tuple([(np.inf, 0.0, 0.0)] + roc_sweep(scores, labels))
+            assert report == MetricReport(ks=ks(scores, labels), auc=auc(scores, labels))
+            sweep = roc_sweep(scores, labels)
+            assert report.ks == max(tpr - fpr for _, tpr, fpr in sweep)
+            assert sweep[-1][1:] == (1.0, 1.0)
 
     def test_percent_formatting(self):
         assert format_percent(0.7608) == "76.08"
         assert format_percent(1.0) == "100.00"
-        report = MetricReport(ks=0.5, auc=0.25, roc=((np.inf, 0.0, 0.0),))
-        assert report.as_percent() == {"ks_pct": "50.00", "auc_pct": "25.00"}
+
+    def test_memory_per_row_is_a_few_arrays(self):
+        # 200,000 float64 scores and int64 labels take 16 B per row; the
+        # sort, the tie blocks and the counts must stay a few arrays more
+        rng = np.random.default_rng(4)
+        n = 200_000
+        scores = rng.random(n)
+        labels = rng.integers(0, 2, n)
+        assert traced_peak(lambda: compute_metrics(scores, labels)) <= 100 * n
 
 
 @settings(max_examples=60, deadline=None)
