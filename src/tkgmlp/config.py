@@ -14,6 +14,11 @@ paper fixes is a constant, not a key: Adam's moments and epsilon and the
 learning rate's decay in ``trainer``, the spline's degree and range in
 ``model``, the synthetic signal scale in ``data``. Individual keys can be
 overridden from the command line with ``--set a.b=value``.
+
+Two sizes are capped, so that a huge value fails here, before anything
+proportional to it is allocated: ``encoder.n_bins`` at
+``encoders.MAX_N_BINS`` (4,096) and ``model.grid_size`` at
+``model.MAX_GRID_SIZE`` (1,024).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from .encoders import DEFAULT_N_BINS, ENCODER_KINDS
+from .encoders import DEFAULT_N_BINS, ENCODER_KINDS, MAX_N_BINS
 
 
 class ConfigError(ValueError):
@@ -40,11 +45,12 @@ def _finite_number(value) -> bool:
     return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
-def require_int(name: str, value, low: int | None):
+def require_int(name: str, value, low: int | None, high: int | None = None):
     """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``low``
-    (any integer when ``low`` is None)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
+    (any integer when ``low`` is None) and, given ``high``, <= ``high``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low)
+            or (high is not None and value > high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
@@ -147,7 +153,7 @@ class RunConfig:
             raise ConfigError(f"data.fractions must be three positive numbers summing to at most 1, got {fractions!r}")
         if self.encoder["kind"] not in ENCODER_KINDS:
             raise ConfigError(f"encoder.kind must be one of {ENCODER_KINDS}")
-        require_int("encoder.n_bins", self.encoder["n_bins"], 1)
+        require_int("encoder.n_bins", self.encoder["n_bins"], 1, MAX_N_BINS)
         for where, names in (("data.ignore", self.data.get("ignore", [])),
                              ("encoder.categorical", self.encoder.get("categorical", []))):
             if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):

@@ -19,7 +19,10 @@ Credit tables run to tens of millions of rows, so the work per cell is kept
 small:
 - `EncoderSpec.fit` copies each column once and sorts it once. The median
   and the bin quantiles are read from the sorted copy, with the same bits
-  as `np.median` and `np.quantile` on the column.
+  as `np.median` and `np.quantile` on the column. The columns are copied
+  `FIT_COLUMN_GROUP` (8) at a time, and within a group every other column
+  is fitted on the lane (`nn_core.both`): on 200,000 x 32 rows at 64 QLE
+  bins a fit took 147 ms on one lane and about 100 ms on two.
 - `EncoderSpec.transform` writes every kind straight into one output array,
   `TRANSFORM_BLOCK_ROWS` (4,096) rows at a time, so its temporaries stay
   cache sized and its peak is the output plus one block. On 200,000 x 32
@@ -39,8 +42,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import nn_core
+
 ENCODER_KINDS = ("qle", "ple", "quantile", "clr", "standardize")
 DEFAULT_N_BINS = 64
+# The most bins a column may ask for, 64 times the default: a PLE column is
+# that many output columns wide, and fitting takes n_bins + 1 quantiles.
+MAX_N_BINS = 4_096
 
 # Rows per block of EncoderSpec.transform; its docstring gives the sizing.
 TRANSFORM_BLOCK_ROWS = 4_096
@@ -48,7 +56,7 @@ TRANSFORM_BLOCK_ROWS = 4_096
 # Lookup grid cells per bin (see _BinGrid); _bin_index gives the sizing.
 GRID_CELLS_PER_BIN = 16
 
-# Columns that EncoderSpec.fit gathers together (see _columns).
+# Columns that EncoderSpec.fit gathers together (see _column_groups).
 FIT_COLUMN_GROUP = 8
 
 
@@ -161,8 +169,8 @@ def _fit_sorted_bins(values: np.ndarray, srt: np.ndarray, n_bins: int) -> BinSpe
     gives the bits it gives on the values, in far less time. The one
     exception is a negative zero: a sort may put either zero first, so then
     the quantiles are taken of the values as they are."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    if not 1 <= n_bins <= MAX_N_BINS:
+        raise ValueError(f"n_bins must lie in [1, {MAX_N_BINS}], got {n_bins!r}")
     if srt.size < 2 or srt[0] == srt[-1]:
         raise DegenerateFeatureError("need at least 2 distinct finite values")
     if _has_negative_zero(srt):
@@ -397,19 +405,47 @@ def one_hot_encode(x, spec: OneHotSpec, out=None) -> np.ndarray:
     return out
 
 
-def _columns(features: np.ndarray):
-    """Yield each column of ``features`` as a contiguous copy.
+def _column_groups(features: np.ndarray):
+    """Yield (first column, group) for each ``FIT_COLUMN_GROUP`` columns of
+    ``features``, the group a contiguous (columns, rows) copy.
 
-    The columns are gathered ``FIT_COLUMN_GROUP`` at a time, row block by row
-    block, so that each cache line of a C-ordered table is read once per
-    group instead of once per column. On 200,000 x 32 rows this took 48 ms,
-    against 158 ms for 32 strided ``features[:, j]`` copies."""
+    Each group is gathered row block by row block, so that each cache line of
+    a C-ordered table is read once per group instead of once per column. On
+    200,000 x 32 rows this took 48 ms, against 158 ms for 32 strided
+    ``features[:, j]`` copies."""
     n_rows, n_cols = features.shape
     for g in range(0, n_cols, FIT_COLUMN_GROUP):
         group = np.empty((min(FIT_COLUMN_GROUP, n_cols - g), n_rows))
         for lo in range(0, n_rows, TRANSFORM_BLOCK_ROWS):
             group[:, lo:lo + TRANSFORM_BLOCK_ROWS] = features[lo:lo + TRANSFORM_BLOCK_ROWS, g:g + FIT_COLUMN_GROUP].T
-        yield from group
+        yield g, group
+
+
+def _fit_column(col: np.ndarray, kind: str, n_bins: int, categorical: bool):
+    """(median, fitted statistic) of one contiguous column, which it imputes
+    in place. The statistic is a OneHotSpec for a categorical column, the
+    CLR shift, a StandardizeSpec, a BinSpec, or None for a degenerate binned
+    column."""
+    finite = np.isfinite(col)
+    missing = not finite.all()
+    values = col[finite] if missing else col
+    srt = np.sort(values)
+    median = _sorted_median(srt, values)
+    if missing:
+        col[~finite] = median
+        at = np.searchsorted(srt, median)
+        srt = np.insert(srt, at, np.full(col.size - srt.size, median))
+    if categorical:
+        return median, fit_one_hot(col)
+    if kind == "clr":
+        low = col.min()
+        return median, 1.0 - low if low <= 0.0 else 0.0
+    if kind == "standardize":
+        return median, fit_standardize(col)
+    try:
+        return median, _fit_sorted_bins(col, srt, n_bins)
+    except DegenerateFeatureError:
+        return median, None
 
 
 @dataclass
@@ -446,41 +482,54 @@ class EncoderSpec:
         The median and the bin quantiles are order statistics, taken from the
         sorted finite values, into which the median's imputed copies are
         merged; they are the bits ``np.median`` and ``np.quantile`` give on
-        the column."""
+        the column.
+
+        Within each group of ``_column_groups``, the odd columns are fitted
+        on the lane and the even ones on the caller (``nn_core.both``, so
+        below ``LANE_MIN_ROWS`` rows all on the caller). Each column's result
+        is kept by its index and entered on the caller in column order, so
+        the spec, and ``to_dict``, are those of one column loop. A column
+        that raises stops its lane; the error of the lowest failing column
+        is raised, as one loop raises it. On 200,000 x 32 rows, QLE at 64
+        bins (2-core Xeon, numpy 2.4.6, one BLAS thread), a fit took 147 ms
+        on one lane and about 100 ms on two."""
         if kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {kind!r}, expected one of {ENCODER_KINDS}")
         features = np.asarray(features, dtype=np.float64)
-        n_cols = features.shape[1]
+        n_rows, n_cols = features.shape
         if feature_names is None:
             feature_names = [f"x{j}" for j in range(n_cols)]
-        medians = np.zeros(n_cols)
-        spec = cls(kind=kind, n_bins=n_bins, feature_names=list(feature_names), medians=medians)
+        spec = cls(kind=kind, n_bins=n_bins, feature_names=list(feature_names), medians=np.zeros(n_cols))
         cat = set(categorical_columns)
         if kind == "clr":
             spec.clr_shifts = np.zeros(n_cols)
-        for j, col in enumerate(_columns(features)):
-            finite = np.isfinite(col)
-            missing = not finite.all()
-            values = col[finite] if missing else col
-            srt = np.sort(values)
-            medians[j] = _sorted_median(srt, values)
-            if missing:
-                col[~finite] = medians[j]
-                at = np.searchsorted(srt, medians[j])
-                srt = np.insert(srt, at, np.full(col.size - srt.size, medians[j]))
-            if j in cat:
-                spec.categorical[j] = fit_one_hot(col)
-            elif kind == "clr":
-                low = col.min()
-                if low <= 0.0:
-                    spec.clr_shifts[j] = 1.0 - low
-            elif kind == "standardize":
-                spec.standardizers[j] = fit_standardize(col)
-            else:
-                try:
-                    spec.bins[j] = _fit_sorted_bins(col, srt, n_bins)
-                except DegenerateFeatureError:
+        for g, group in _column_groups(features):
+            results = [None] * group.shape[0]
+
+            def fit_every_other(first):
+                for i in range(first, group.shape[0], 2):
+                    try:
+                        results[i] = _fit_column(group[i], kind, n_bins, g + i in cat)
+                    except Exception as exc:  # raised below, in column order
+                        results[i] = exc
+                        return
+
+            nn_core.both(lambda: fit_every_other(1), lambda: fit_every_other(0), n_rows)
+            for i, result in enumerate(results):
+                if isinstance(result, Exception):
+                    raise result
+                j = g + i
+                spec.medians[j], fitted = result
+                if j in cat:
+                    spec.categorical[j] = fitted
+                elif kind == "clr":
+                    spec.clr_shifts[j] = fitted
+                elif kind == "standardize":
+                    spec.standardizers[j] = fitted
+                elif fitted is None:
                     spec.degenerate.add(j)
+                else:
+                    spec.bins[j] = fitted
         return spec
 
     @property

@@ -9,17 +9,23 @@ their explicit inputs; randomness always comes in through a caller-owned
 The lane. A train step has independent work that a second core can take
 without changing a bit: products that do not read each other's results,
 and elementwise work in which a row depends only on itself, such as the
-passes of train-mode batch norm and dropout between their column sums.
-``both`` and ``row_halves`` hand one of two such parts to the lane, which
-is one extra thread, started on first use, and run the other on the
-caller. Its contract:
+passes of train-mode batch norm and dropout between their column sums. So
+does the build of a training table, column by column. ``both`` and
+``row_halves`` hand one of two such parts to the lane, which is one extra
+thread, started on first use, and run the other on the caller. Its callers
+are the train step (``kan``, ``gmlp`` and the batch norm and dropout here),
+``data.synth_generate``, which draws every other column of a group on it,
+and ``encoders.EncoderSpec.fit``, which fits every other column of a group
+on it. Its contract:
 
 - one extra thread, created here and nowhere else in the package;
-- numpy only on the lane, writing large outputs through ``out=`` into
-  arrays that the caller allocated (so the thread's own malloc arena stays
-  small); it calls none of the names that the benchmark's span
-  tracer (perfbench/tracer.py) wraps, whose span stack all threads share,
-  so it takes ``sigmoid_into`` and ``silu_derivative_into``;
+- numpy only on the lane. The train step's parts write large outputs
+  through ``out=`` into arrays that the caller allocated; a table build's
+  parts allocate their own columns' temporaries, a few column-length arrays
+  at a time, and write each column into the caller's group buffer or return
+  its small fitted statistics. The lane calls none of the names that the
+  benchmark's span tracer (perfbench/tracer.py) wraps, whose span stack all
+  threads share, so it takes ``sigmoid_into`` and ``silu_derivative_into``;
 - sums that combine the two parts run on the caller, after both ended, in
   the fixed order of the single-lane code, so every result keeps its bits:
   column sums stay whole-batch ``np.add.reduce`` calls on whole arrays
@@ -50,6 +56,17 @@ environment variables only at process start, too late for a library.
 Arrays above ``KEEP_MMAP_THRESHOLD`` (32 MiB, glibc's cap; the 4,096 x
 1,024 float64 arrays of an h=1024 step reach it) are still mapped and
 unmapped one by one.
+
+One malloc arena. glibc gives a thread that allocates while another
+holds the main arena an arena of its own, and that arena keeps what the
+thread frees, for the thread alone. The table builds' column temporaries
+stayed in the lane's arena: in the criterion-5 benchmark (train-h64, one
+run each) peak RSS read 254.2 MB, against 247.9 MB with every column
+drawn and fitted on the caller. So ``_lane`` calls ``one_malloc_arena``
+before it starts the thread. Through ``mallopt``, process-wide as
+``keep_freed_pages``, it caps the arenas at one, so the lane allocates
+from the arena that exists, under its lock, and what it frees is the
+caller's to reuse; that run read 246.5 MB.
 """
 
 from __future__ import annotations
@@ -88,7 +105,7 @@ _LANE_LOCK = threading.Lock()
 # its own (glibc refuses more than 32 MiB on 64-bit hosts), and a free heap
 # top is trimmed only from KEEP_TRIM_THRESHOLD bytes on (the largest int
 # that mallopt takes, so never in practice).
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 KEEP_MMAP_THRESHOLD = 32 << 20
 KEEP_TRIM_THRESHOLD = (1 << 31) - 1
 
@@ -111,21 +128,39 @@ def as_batch(data, name: str = "batch") -> np.ndarray:
     return x
 
 
+def _mallopt():
+    """glibc's ``mallopt``, or None where the C library has none; looked up
+    afresh at each call, as its two callers each run once."""
+    import ctypes  # here, so that commands that never train do not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no libc handle, no mallopt
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
 @functools.cache
 def keep_freed_pages() -> bool:
     """Keep the memory that the process frees for its own reuse (see the
     module docstring); True if glibc took both settings. Process-wide and
     idempotent: later calls return the first call's answer. A no-op that
     returns False where the C library has no ``mallopt`` or refuses it."""
-    import ctypes  # here, so that commands that never train do not load it
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no libc handle, no mallopt
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return (mallopt(M_MMAP_THRESHOLD, KEEP_MMAP_THRESHOLD) == 1
+    mallopt = _mallopt()
+    return (mallopt is not None and mallopt(M_MMAP_THRESHOLD, KEEP_MMAP_THRESHOLD) == 1
             and mallopt(M_TRIM_THRESHOLD, KEEP_TRIM_THRESHOLD) == 1)
+
+
+@functools.cache
+def one_malloc_arena() -> bool:
+    """Let every thread allocate from the arenas that exist, so that the lane
+    makes no malloc arena of its own (see the module docstring); True if
+    glibc took the setting. Process-wide and idempotent, as
+    ``keep_freed_pages``; ``_lane`` calls it before the lane's thread
+    starts, as glibc gives a thread its arena at its first allocation."""
+    mallopt = _mallopt()
+    return mallopt is not None and mallopt(M_ARENA_MAX, 1) == 1
 
 
 @functools.cache
@@ -193,8 +228,11 @@ def both(f, g, rows: int):
 def _lane():
     with _LANE_LOCK:
         if not _LANE:
-            # imported here, so that scoring and encoding, which never use
-            # the lane, do not load concurrent.futures (0.6 MB of RSS)
+            one_malloc_arena()
+            # imported here, so that commands that never use the lane do not
+            # load concurrent.futures (0.6 MB of RSS): scoring, and synth and
+            # encoding below LANE_MIN_ROWS rows; from there on, encoding
+            # fits its encoder on the lane
             from concurrent.futures import ThreadPoolExecutor
 
             _LANE.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="tkgmlp-lane"))

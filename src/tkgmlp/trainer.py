@@ -171,10 +171,13 @@ def train(
 
     Each step (forward, loss, backward and Adam) runs under
     ``np.errstate(over="ignore", invalid="ignore")``, on the lane too (see
-    ``nn_core.both``), so an overflow gives no ``RuntimeWarning``. One rule
-    ends a run as diverged: a step whose loss is not finite, or after which
-    ``adam_step`` reports a non-finite second moment. The best snapshot is
-    then restored and ``diverged`` set; that step's loss is not counted.
+    ``nn_core.both``), and so does each epoch's validation ``predict``, so an
+    overflow gives no ``RuntimeWarning``. One rule ends a run as diverged: a
+    step whose loss is not finite, or after which ``adam_step`` reports a
+    non-finite second moment, or an epoch whose validation scores are not
+    all finite, which is then neither logged nor snapshotted. The best
+    snapshot is then restored and ``diverged`` set; a diverging step's loss
+    is not counted.
     """
     x_train, y_train = train_data
     x_valid, y_valid = valid_data
@@ -218,7 +221,11 @@ def train(
             if diverged:
                 break
 
-            valid_scores = model.predict(x_valid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                valid_scores = model.predict(x_valid)
+            if not np.isfinite(valid_scores).all():
+                diverged = True
+                break
             valid_ks = metrics.ks(valid_scores, y_valid)
             valid_auc = metrics.auc(valid_scores, y_valid)
             stats = EpochStats(

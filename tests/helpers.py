@@ -11,7 +11,9 @@ train step's whole-batch formulas (the basis in one pass, batch norm, the
 KAN backward and Adam), which the library's blocked and buffer-reusing
 versions must reproduce bit for bit, and the single-lane SwiGLU, KAN,
 batch-norm and dropout passes, which the two-lane ones must reproduce bit
-for bit.
+for bit. The last two helpers are the one-loop, one-thread forms of
+``synth_generate`` and ``EncoderSpec.fit``, which the column-group,
+two-lane builds must reproduce bit for bit.
 """
 
 import csv
@@ -555,3 +557,78 @@ def single_lane_dropout_backward(upstream, mask):
     out = upstream * keep
     out *= scale
     return out
+
+
+def serial_synth_generate(spec, n_rows):
+    """``data.synth_generate`` as one column loop on one thread: each column
+    drawn and written into its strided slice of the table, each active
+    column's term added to the logit from that slice, and the intercept
+    bisected with fresh arrays at every step."""
+    from tkgmlp import data
+
+    d = len(spec.columns)
+    children = np.random.SeedSequence(spec.seed).spawn(d + 2)
+    features = np.empty((n_rows, d))
+    for j, col in enumerate(spec.columns):
+        features[:, j] = col.sample(n_rows, np.random.default_rng(children[j]))
+    model_rng = np.random.default_rng(children[d])
+    active = np.sort(model_rng.choice(d, size=min(max(2, d // 2), d), replace=False))
+    kinds = model_rng.choice(len(data._TRANSFORMS), size=active.size)
+    thetas = model_rng.uniform(-1.0, 1.0, size=active.size)
+    weights = model_rng.normal(0.0, 1.0, size=active.size)
+    z = np.zeros(n_rows)
+    for w, j, k, theta in zip(weights, active, kinds, thetas):
+        col = spec.columns[j]
+        standardized = (features[:, j] - col.mean()) / max(col.std(), 1e-12)
+        z += w * data._apply_transform(data._TRANSFORMS[int(k)], standardized, theta)
+    z = data.SIGNAL_SCALE * (z - z.mean()) / max(z.std(), 1e-12)
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if nn_core.sigmoid(z + mid).mean() < spec.prevalence:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    probs = nn_core.sigmoid(z + 0.5 * (lo + hi))
+    labels = (np.random.default_rng(children[d + 1]).random(n_rows) < probs).astype(np.float64)
+    return features, labels, probs
+
+
+def serial_encoder_fit(features, feature_names=None, kind="qle", n_bins=64, categorical_columns=()):
+    """``EncoderSpec.fit`` as one column loop on one thread, over strided
+    copies of the columns, by the library's per-column steps: it stops at,
+    and raises, the first failing column."""
+    from tkgmlp import encoders
+
+    features = np.asarray(features, dtype=np.float64)
+    n_cols = features.shape[1]
+    names = [f"x{j}" for j in range(n_cols)] if feature_names is None else list(feature_names)
+    medians = np.zeros(n_cols)
+    spec = EncoderSpec(kind=kind, n_bins=n_bins, feature_names=names, medians=medians)
+    if kind == "clr":
+        spec.clr_shifts = np.zeros(n_cols)
+    for j in range(n_cols):
+        col = features[:, j].copy()
+        finite = np.isfinite(col)
+        missing = not finite.all()
+        values = col[finite] if missing else col
+        srt = np.sort(values)
+        medians[j] = encoders._sorted_median(srt, values)
+        if missing:
+            col[~finite] = medians[j]
+            srt = np.insert(srt, np.searchsorted(srt, medians[j]), np.full(col.size - srt.size, medians[j]))
+        if j in categorical_columns:
+            spec.categorical[j] = encoders.fit_one_hot(col)
+        elif kind == "clr":
+            if col.min() <= 0.0:
+                spec.clr_shifts[j] = 1.0 - col.min()
+        elif kind == "standardize":
+            spec.standardizers[j] = encoders.fit_standardize(col)
+        else:
+            try:
+                spec.bins[j] = encoders._fit_sorted_bins(col, srt, n_bins)
+            except encoders.DegenerateFeatureError:
+                spec.degenerate.add(j)
+    return spec

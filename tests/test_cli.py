@@ -252,6 +252,36 @@ class TestFit:
         assert load_checkpoint(tmp_path / "out" / "model.ckpt").best["diverged"] is True
 
 
+    # One step an epoch (120 train rows, batch 128): at these rates the
+    # first step leaves the parameters huge but finite, so the epoch's
+    # validation is the first pass that overflows. Its scores are not all
+    # finite, and the run ends as diverged before the epoch is logged or
+    # snapshotted.
+    @pytest.mark.parametrize("lr0", [1e50, 1e300])
+    def test_divergence_in_validation_exits_two(self, tmp_path, capsys, caplog, lr0):
+        cfg = write_config(tmp_path, data={"rows": [120, 200, 200]}, train={"lr0": lr0})
+        with caplog.at_level("WARNING", logger="tkgmlp"):
+            assert run_cli("fit", "--config", cfg) == 2
+        assert "training diverged before its first validation; checkpoint holds the initial parameters" in caplog.text
+        assert "best_" not in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert (out / "epochs.tsv").read_text() == "epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n"
+        assert load_checkpoint(out / "model.ckpt").best == {
+            "best_epoch": -1, "best_valid_ks": None, "best_valid_auc": None,
+            "epochs_run": 0, "stopped_early": False, "diverged": True}
+
+    @pytest.mark.parametrize("lr0", [1e50, 1e300])
+    def test_divergence_in_validation_without_the_warning_filter_exits_two(self, tmp_path, lr0):
+        cfg = write_config(tmp_path, data={"rows": [120, 200, 200]}, train={"lr0": lr0})
+        code, _, err = run_child("fit", "--config", cfg)
+        assert code == 2
+        assert "training diverged before its first validation; checkpoint holds the initial parameters" in err
+        assert "Warning" not in err
+        out = tmp_path / "out"
+        assert (out / "epochs.tsv").read_text() == "epoch\tlr\ttrain_loss\tvalid_ks_pct\tvalid_auc_pct\n"
+        assert load_checkpoint(out / "model.ckpt").best["epochs_run"] == 0
+
+
 class TestEvaluate:
     def test_overfit_training_data_scores_high(self, tmp_path, capsys):
         # small easy dataset + enough epochs: training-set KS should be high
@@ -627,12 +657,27 @@ class TestExitCodes:
         'data.ignore="x01"',
         'encoder.categorical="x01"',
         "encoder.n_bins=true",
+        "encoder.n_bins=10000000000",  # bins too many to allocate
+        "encoder.n_bins=10000000000000000000000",
+        "model.grid_size=10000000000",  # a knot grid too big to allocate
     ])
     def test_bad_model_or_train_value_exits_one(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path)
         assert run_cli("fit", "--config", cfg, "--set", override) == 1
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any data loads
+
+    @pytest.mark.parametrize("override, cap", [
+        ("model.grid_size=10000000000", 1_024),
+        ("encoder.n_bins=10000000000", 4_096),
+        ("encoder.n_bins=10000000000000000000000", 4_096),
+    ])
+    def test_huge_size_exits_one_without_the_warning_filter(self, tmp_path, override, cap):
+        key, value = override.split("=")
+        code, _, err = run_child("fit", "--config", write_config(tmp_path), "--set", override)
+        assert code == 1
+        assert err.splitlines()[-1] == f"config error: {key} must be an integer in [1, {cap}], got {value}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kan_layers, gmlp_layers", [("[0,1]", "[0,1]"), ("[0]", "[0]")])
     def test_grid_cell_without_layers_exits_one(self, tmp_path, capsys, kan_layers, gmlp_layers):

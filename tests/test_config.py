@@ -101,6 +101,36 @@ class TestValidation:
         assert "model: unknown keys ['spline_range']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Both values fail before anything proportional to them is built: the
+    # knot vector of 10**10 intervals alone would be 74.5 GiB, and 10**22
+    # quantiles exceed numpy's largest array.
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "grid_size", 10**10),
+        ("model", "grid_size", 10**22),
+        ("model", "grid_size", 1_025),
+        ("encoder", "n_bins", 10**10),
+        ("encoder", "n_bins", 10**22),
+        ("encoder", "n_bins", 4_097),
+    ])
+    def test_huge_size_is_a_config_error(self, section, key, value):
+        doc = synth_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be an integer in \[1, \d+\], got {value}$"):
+            RunConfig.from_dict(doc)
+
+    def test_size_caps_are_the_largest_accepted_values(self):
+        from tkgmlp import encoders, model
+        from tkgmlp.spline import build_knots
+
+        doc = synth_doc()
+        doc["model"]["grid_size"], doc["encoder"]["n_bins"] = model.MAX_GRID_SIZE, encoders.MAX_N_BINS
+        RunConfig.from_dict(doc)
+        assert (model.MAX_GRID_SIZE, encoders.MAX_N_BINS) == (1_024, 4_096)  # as the config docstring states
+        # every grid up to the cap gives a usable knot vector, which
+        # ModelConfig no longer builds to find out
+        for grid_size in range(1, model.MAX_GRID_SIZE + 1):
+            build_knots(grid_size, model.SPLINE_DEGREE, model.SPLINE_RANGE)
+
     def test_model_without_layers(self):
         doc = synth_doc()
         doc["model"].update(kan_layers=0, gmlp_layers=0)

@@ -56,6 +56,13 @@ class TestFitBins:
         with pytest.raises(ValueError):
             fit_bins([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("n_bins", [4_097, 10**10, 10**22])
+    def test_huge_n_bins_is_rejected_before_the_quantiles(self, n_bins):
+        with pytest.raises(ValueError, match=rf"^n_bins must lie in \[1, 4096\], got {n_bins}$"):
+            fit_bins([1.0, 2.0], n_bins)
+        with pytest.raises(ValueError, match="n_bins must lie in"):
+            EncoderSpec.fit(np.arange(6.0).reshape(3, 2), n_bins=n_bins)
+
 
 class TestQle:
     def test_fixture_midpoint(self):

@@ -1,9 +1,12 @@
-"""The lane: the second thread of the train step (``nn_core.both`` and
-``nn_core.row_halves``). The two-lane SwiGLU, KAN, batch-norm and dropout
-passes must give the bits of the single-lane ones at every batch size,
-errors raised on the lane must reach the caller, and only training may
-start the thread."""
+"""The lane: the second thread of the train step and of the table builds
+(``nn_core.both`` and ``nn_core.row_halves``). The two-lane SwiGLU, KAN,
+batch-norm and dropout passes must give the bits of the single-lane ones at
+every batch size, and ``synth_generate`` and ``EncoderSpec.fit`` those of
+one column loop at every table size; errors raised on the lane must reach
+the caller, and only training and the table builds from ``LANE_MIN_ROWS``
+rows on may start the thread."""
 
+import json
 import subprocess
 import sys
 import threading
@@ -12,9 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tkgmlp import gmlp, kan, nn_core
+from tkgmlp import data, encoders, gmlp, kan, nn_core
 from tkgmlp.checkpoint import load_checkpoint
 from tkgmlp.cli import main as cli_main
+from tkgmlp.encoders import EncoderSpec
 from tkgmlp.gmlp import GmlpBlockParams, swiglu, swiglu_backward
 from tkgmlp.kan import kan_backward, kan_forward, kan_init
 from tkgmlp.model import ModelConfig, build_model
@@ -38,6 +42,8 @@ from .helpers import (
     single_lane_kan_forward,
     single_lane_swiglu,
     single_lane_swiglu_backward,
+    serial_encoder_fit,
+    serial_synth_generate,
     traced_peak,
 )
 from .test_cli import write_config
@@ -212,19 +218,26 @@ class TestErrors:
         assert load_checkpoint(out / "model.ckpt").best["diverged"] is True
 
 class TestThreads:
-    def test_scoring_encoding_and_synth_start_no_thread(self, tmp_path):
+    def test_scoring_encoding_and_synth_start_no_thread(self, tmp_path, monkeypatch):
         # 5,000 rows to score: a forward over them would reach the lane,
-        # but predict's 1,024-row blocks stay below LANE_MIN_ROWS
+        # but predict's 1,024-row blocks stay below LANE_MIN_ROWS. Synth
+        # (1,800 rows) and encode (600) stay below it too; from it on they
+        # draw and fit on the lane. ``_lane`` is spied, as an earlier test
+        # may have started the thread already.
         cfg = write_config(tmp_path, data={"rows": [600, 200, 5_000]})
         assert cli_main(["fit", "--config", str(cfg)]) == 0
-        data_dir = tmp_path / "data"
-        before = set(threading.enumerate())
+        data_dir, small_dir = tmp_path / "data", tmp_path / "small"
         assert cli_main(["synth", "--config", str(cfg), "--set", f"output_dir={data_dir}"]) == 0
+        small = write_config(tmp_path, "small.json", data={"rows": [600, 200, 1_000]})
+        lane, calls = nn_core._lane, []
+        monkeypatch.setattr(nn_core, "_lane", lambda: calls.append(1) or lane())
+        before = set(threading.enumerate())
+        assert cli_main(["synth", "--config", str(small), "--set", f"output_dir={small_dir}"]) == 0
         assert cli_main(["evaluate", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
                          "--data", str(data_dir / "test.csv")]) == 0
-        assert cli_main(["encode", "--config", str(cfg), "--data", str(data_dir / "test.csv"),
+        assert cli_main(["encode", "--config", str(cfg), "--data", str(small_dir / "train.csv"),
                          "--out", str(tmp_path / "encoded.csv")]) == 0
-        assert set(threading.enumerate()) == before
+        assert not calls and set(threading.enumerate()) == before
 
     def test_training_starts_one_lane_thread(self):
         x = np.random.default_rng(0).normal(size=(LANE_MIN_ROWS, 4))
@@ -232,8 +245,8 @@ class TestThreads:
         assert len(_lane_threads()) == 1
 
     def test_import_loads_no_executor(self):
-        # scoring and encoding never use the lane, so they do not pay for
-        # loading concurrent.futures either
+        # scoring, and synth and encoding below LANE_MIN_ROWS rows, never
+        # use the lane, so they do not pay for loading concurrent.futures
         code = "import sys, tkgmlp.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -426,3 +439,120 @@ def test_elementwise_peaks_hold_no_scratch_array():
     for name, (two_lane, single) in pairs.items():
         two_lane()  # the lane and numpy's caches exist before the measured calls
         assert traced_peak(two_lane) <= traced_peak(single) + allowance, name
+
+
+# The table builds: synth_generate draws, and EncoderSpec.fit fits, every
+# other column of a group on the lane. 2,047 / 2,048 straddle LANE_MIN_ROWS;
+# 4,095 and 4,097 rows end in a short row block, 1, 3, 5 and 33 columns in
+# a short column group.
+TABLE_ROWS = [1, 2_047, 2_048, 4_095, 4_097, 20_480]
+TABLE_COLUMNS = [1, 3, 5, 8, 32, 33]
+
+
+def _table(rows, seed=0):
+    """Twelve columns (a group of 8 and a short one of 4) with 1 % NaN
+    cells, a constant column, two categorical ones (6 and 9) and a -0.0
+    beside a 0.0 in column 2."""
+    x = data.synth_generate(data.desk_tiny_spec(seed=seed, n_columns=12), rows)[0].features
+    rng = np.random.default_rng(seed)
+    x[rng.random(x.shape) < 0.01] = np.nan
+    x[:, 5] = 3.0
+    x[:, 6] = np.floor(np.abs(x[:, 6])) % 4
+    x[:, 9] = rng.integers(0, 5, rows)
+    x[3, 2], x[4, 2] = -0.0, 0.0
+    return x
+
+
+class TestTableBuilds:
+    def test_cases_cover_the_edges(self):
+        assert {LANE_MIN_ROWS - 1, LANE_MIN_ROWS} <= set(TABLE_ROWS)
+        assert any(r % data.SYNTH_WRITE_BLOCK_ROWS for r in TABLE_ROWS if r > data.SYNTH_WRITE_BLOCK_ROWS)
+        assert any(c % data.SYNTH_COLUMN_GROUP for c in TABLE_COLUMNS if c > data.SYNTH_COLUMN_GROUP)
+        assert 12 % encoders.FIT_COLUMN_GROUP and 12 > encoders.FIT_COLUMN_GROUP
+
+    @pytest.mark.parametrize("columns", TABLE_COLUMNS)
+    @pytest.mark.parametrize("rows", TABLE_ROWS)
+    def test_synth_equals_the_serial_loop(self, rows, columns):
+        spec = data.desk_tiny_spec(seed=rows + columns, n_columns=columns)
+        ds, probs = data.synth_generate(spec, rows)
+        want = serial_synth_generate(spec, rows)
+        for got, expected in zip((ds.features, ds.labels, probs), want):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+    @pytest.mark.parametrize("kind", encoders.ENCODER_KINDS)
+    def test_fit_equals_the_serial_loop(self, kind, dirty):
+        rows = 4_097
+        assert rows >= LANE_MIN_ROWS
+        x = _table(rows) if dirty else data.synth_generate(data.desk_tiny_spec(seed=1, n_columns=12), rows)[0].features
+        cat = (6, 9) if dirty else ()
+        spec = EncoderSpec.fit(x, kind=kind, n_bins=16, categorical_columns=cat)
+        want = serial_encoder_fit(x, kind=kind, n_bins=16, categorical_columns=cat)
+        assert json.dumps(spec.to_dict()) == json.dumps(want.to_dict())
+        assert spec.transform(x).tobytes() == want.transform(x).tobytes()
+
+    @pytest.mark.parametrize("failing", [(3, 4), (2, 5), (4,), (7,)])
+    def test_the_lowest_failing_column_raises(self, failing, monkeypatch):
+        # each column's values start at 1,000 times its index, so the spy
+        # knows which column it fits; odd columns fit on the lane, even
+        # ones on the caller, and each raises its own type
+        rows = LANE_MIN_ROWS
+        x = np.random.default_rng(0).random((rows, 12)) + 1_000.0 * np.arange(12)
+        fit_sorted_bins, where = encoders._fit_sorted_bins, {}
+
+        def failing_bins(values, srt, n_bins):
+            j = int(srt[0] // 1_000)
+            where[j] = _on_lane()
+            if j in failing:
+                raise (LookupError if j % 2 else ValueError)(f"column {j} failed")
+            return fit_sorted_bins(values, srt, n_bins)
+
+        monkeypatch.setattr(encoders, "_fit_sorted_bins", failing_bins)
+        with pytest.raises(Exception) as serial:
+            serial_encoder_fit(x, n_bins=8)
+        with pytest.raises(Exception) as got:
+            EncoderSpec.fit(x, n_bins=8)
+        assert type(got.value) is type(serial.value) and str(got.value) == str(serial.value)
+        assert str(got.value) == f"column {min(failing)} failed"
+        assert all(where[j] == bool(j % 2) for j in failing)
+
+    @pytest.mark.parametrize("rows", [LANE_MIN_ROWS - 1, LANE_MIN_ROWS])
+    def test_builds_take_the_lane_from_the_row_gate(self, rows, monkeypatch):
+        # odd columns on the lane from LANE_MIN_ROWS rows on, all on the
+        # caller below; and the lane calls none of the traced names
+        draws, fits, traced = [], [], []
+        sample, fit_column = data.SyntheticColumnSpec.sample, encoders._fit_column
+
+        def sample_spy(self, n, rng):
+            draws.append(_on_lane())
+            return sample(self, n, rng)
+
+        def fit_spy(col, *args):
+            fits.append(_on_lane())
+            return fit_column(col, *args)
+
+        def traced_spy(fn, name):
+            def spy(*args, **kwargs):
+                traced.append((name, _on_lane()))
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(data.SyntheticColumnSpec, "sample", sample_spy)
+        monkeypatch.setattr(encoders, "_fit_column", fit_spy)
+        monkeypatch.setattr(nn_core, "sigmoid", traced_spy(nn_core.sigmoid, "nn_core.sigmoid"))
+        monkeypatch.setattr(EncoderSpec, "transform", traced_spy(EncoderSpec.transform, "encoders.transform"))
+        ds, _ = data.synth_generate(data.desk_tiny_spec(seed=0, n_columns=9), rows)
+        EncoderSpec.fit(ds.features, kind="qle", n_bins=8).transform(ds.features)
+        on_lane = 4 if rows >= LANE_MIN_ROWS else 0  # columns 1, 3, 5 and 7
+        assert len(draws) == len(fits) == 9 and draws.count(True) == fits.count(True) == on_lane
+        assert traced and not any(on_lane for _, on_lane in traced)
+
+    def test_synth_peak_stays_near_the_table(self):
+        # the table is 32 floats a row; one 4-column group, the logit, the
+        # lane's and the caller's column temporaries and the intercept's
+        # three buffers come on top: 40.3 floats a row in all (40.0 for one
+        # column loop on one thread), held here to 42
+        rows = 50_000
+        data.synth_generate(data.desk_tiny_spec(seed=42), LANE_MIN_ROWS)  # the lane exists before the measured call
+        peak = traced_peak(lambda: data.synth_generate(data.desk_tiny_spec(seed=42), rows))
+        assert peak <= 42 * 8 * rows

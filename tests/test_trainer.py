@@ -390,6 +390,30 @@ class TestMemory:
         monkeypatch.setattr(ctypes, "CDLL", None)  # a second call would fail here
         assert nn_core.keep_freed_pages() is first
 
+    @pytest.mark.parametrize("libc", [None, types.SimpleNamespace()], ids=["no libc handle", "no mallopt"])
+    def test_one_malloc_arena_is_a_no_op_without_mallopt(self, libc, monkeypatch):
+        def cdll(name):
+            if libc is None:
+                raise OSError("no C library")
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert nn_core.one_malloc_arena.__wrapped__() is False
+
+    def test_the_lane_caps_the_arenas_before_its_thread_starts(self, monkeypatch):
+        # glibc gives a thread its arena at its first allocation, so the cap
+        # must be set before the lane's first task
+        seen = []
+        monkeypatch.setattr(nn_core, "_LANE", [])
+        monkeypatch.setattr(nn_core, "one_malloc_arena", lambda: seen.append(list(nn_core._LANE)))
+        lane = nn_core._lane()
+        try:
+            assert seen == [[]] and nn_core._LANE == [lane]
+            nn_core._lane()
+            assert len(seen) == 1
+        finally:
+            lane.shutdown()
+
 
 
 # The criterion-8 config (tests/test_acceptance.py), and one whose trained
